@@ -158,41 +158,6 @@ func (s *Server) adminDispatch(path string, query map[string]string) (status int
 	return 0, "", false
 }
 
-// addStats folds two serving snapshots: counters sum, the pipelined-depth
-// high-water mark is a fleet maximum, and the protocol name carries over
-// (every shard of a fleet speaks the same protocol).
-func addStats(a, b StatsSnapshot) StatsSnapshot {
-	if a.Protocol == "" {
-		a.Protocol = b.Protocol
-	}
-	a.Accepted += b.Accepted
-	a.Active += b.Active
-	a.Drained += b.Drained
-	a.Killed += b.Killed
-	a.TimedOut += b.TimedOut
-	a.Rejected += b.Rejected
-	a.Shed += b.Shed
-	a.AdmShed += b.AdmShed
-	a.AdmShedBulk += b.AdmShedBulk
-	a.Migrated += b.Migrated
-	a.ReqAdmin += b.ReqAdmin
-	a.ReqNormal += b.ReqNormal
-	a.ReqBulk += b.ReqBulk
-	a.Deadlined += b.Deadlined
-	a.Restarts += b.Restarts
-	a.Requests += b.Requests
-	a.Responses += b.Responses
-	a.ShardsDrained += b.ShardsDrained
-	if b.PipelineHWM > a.PipelineHWM {
-		a.PipelineHWM = b.PipelineHWM
-	}
-	if b.SojournEWMAus > a.SojournEWMAus {
-		a.SojournEWMAus = b.SojournEWMAus
-	}
-	a.Overloaded = a.Overloaded || b.Overloaded
-	return a
-}
-
 func marshalAdmin(v any) string {
 	b, err := json.MarshalIndent(v, "", "  ")
 	if err != nil {

@@ -1,12 +1,14 @@
 package netsvc
 
 import (
+	"errors"
 	"fmt"
 	"net"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"repro/abstractions/supervise"
 	"repro/internal/core"
 	"repro/internal/web"
 )
@@ -57,23 +59,17 @@ func putBuf(b []byte) {
 // waits for socket data inside Sync — suspendable, killable, and
 // multiplexable with deadlines. The one-slot channel is the flow control:
 // the pump issues the next read only after the previous chunk is
-// consumed. quit (closed by the connection custodian) unblocks a pump
-// stuck on the handoff after its consumer was terminated.
+// consumed. done (the connection's end-of-life signal, see endConn)
+// unblocks a pump stuck on the handoff after its consumer was terminated.
 type connReader struct {
-	sem  *core.Semaphore
-	ch   chan readChunk
-	quit chan struct{}
+	sem *core.Semaphore
+	ch  chan readChunk
 }
 
-func newConnReader(rt *core.Runtime, cust *core.Custodian, c net.Conn) (*connReader, error) {
+func newConnReader(rt *core.Runtime, c net.Conn, done <-chan struct{}) *connReader {
 	r := &connReader{
-		sem:  core.NewSemaphore(rt, 0),
-		ch:   make(chan readChunk, 1),
-		quit: make(chan struct{}),
-	}
-	quit := r.quit
-	if err := cust.Register(closerFunc(func() error { close(quit); return nil })); err != nil {
-		return nil, err
+		sem: core.NewSemaphore(rt, 0),
+		ch:  make(chan readChunk, 1),
 	}
 	go func() {
 		// One reusable read buffer; each chunk is copied out at its exact
@@ -90,7 +86,7 @@ func newConnReader(rt *core.Runtime, cust *core.Custodian, c net.Conn) (*connRea
 			select {
 			case r.ch <- readChunk{data: data, err: err}:
 				r.sem.Post()
-			case <-r.quit:
+			case <-done:
 				return
 			}
 			if err != nil {
@@ -98,7 +94,7 @@ func newConnReader(rt *core.Runtime, cust *core.Custodian, c net.Conn) (*connRea
 			}
 		}
 	}()
-	return r, nil
+	return r
 }
 
 // RecvEvt returns an event ready when the next chunk is available; its
@@ -130,10 +126,9 @@ func (r *connReader) tryRecv() (readChunk, bool) {
 // lands inside Sync, never between appending half a frame and sending it —
 // so the wire carries a prefix of whole responses and nothing after it.
 // A session killed mid-reap leaves at most one stray semaphore token; the
-// pump itself exits when the connection custodian closes quit.
+// pump itself exits when the connection ends (done, see endConn).
 type connWriter struct {
 	ch      chan []byte
-	quit    chan struct{}
 	sem     *core.Semaphore
 	doneEvt core.Event // hoisted sem.WaitEvt(): no per-write event allocs
 	// First write error, sticky. Atomic because with pumpSlots > 1 the
@@ -153,17 +148,12 @@ type connWriter struct {
 // flushing it (see flush).
 const pumpSlots = 2
 
-func newConnWriter(rt *core.Runtime, cust *core.Custodian, c net.Conn) (*connWriter, error) {
+func newConnWriter(rt *core.Runtime, c net.Conn, done <-chan struct{}) *connWriter {
 	w := &connWriter{
-		ch:   make(chan []byte, pumpSlots),
-		quit: make(chan struct{}),
-		sem:  core.NewSemaphore(rt, 0),
+		ch:  make(chan []byte, pumpSlots),
+		sem: core.NewSemaphore(rt, 0),
 	}
 	w.doneEvt = w.sem.WaitEvt()
-	quit := w.quit
-	if err := cust.Register(closerFunc(func() error { close(quit); return nil })); err != nil {
-		return nil, err
-	}
 	go func() {
 		for {
 			select {
@@ -172,12 +162,12 @@ func newConnWriter(rt *core.Runtime, cust *core.Custodian, c net.Conn) (*connWri
 					w.err.CompareAndSwap(nil, &err)
 				}
 				w.sem.Post()
-			case <-w.quit:
+			case <-done:
 				return
 			}
 		}
 	}()
-	return w, nil
+	return w
 }
 
 // submit hands a batch to the pump. Only legal when canSubmit reports a
@@ -286,16 +276,11 @@ func (w *connWriter) releaseBufs(batch []byte) {
 // socket through the connection's wire codec, dispatch them to the
 // mounted web.Server, and batch responses through the write pump — every
 // wait a Sync, so an administrator's kill lands at a safe point and the
-// shared abstractions the servlets use stay coherent.
-func (s *Server) serveConn(th *core.Thread, cs *connState) {
-	reader, err := newConnReader(s.rt, cs.cust, cs.c)
-	if err != nil {
-		return // custodian already dead; conn is closed
-	}
-	writer, err := newConnWriter(s.rt, cs.cust, cs.c)
-	if err != nil {
-		return
-	}
+// shared abstractions the servlets use stay coherent. It reports whether
+// the session ended cleanly (the reaper's drained/killed classification).
+func (s *Server) serveConn(th *core.Thread, cs *connState) (clean bool) {
+	reader := newConnReader(s.rt, cs.c, cs.done)
+	writer := newConnWriter(s.rt, cs.c, cs.done)
 	codec := s.newCodec()
 	// Hoist the per-request events out of the loops: events are immutable
 	// descriptions (guards and wraps re-evaluate at each sync), so building
@@ -332,8 +317,7 @@ func (s *Server) serveConn(th *core.Thread, cs *connState) {
 				batch = codec.AppendFault(batch, 400, "bad request: "+perr.Error())
 				_ = writer.flushFinal(th, batch)
 				batch = nil
-				s.markCompleted(cs)
-				return
+				return true
 			}
 			buf = rest
 			if f == nil {
@@ -358,7 +342,7 @@ func (s *Server) serveConn(th *core.Thread, cs *connState) {
 				if len(batch) > 0 {
 					var ferr error
 					if batch, ferr = writer.flush(th, batch); ferr != nil {
-						return // client gone mid-write
+						return false // client gone mid-write
 					}
 					batched = 0
 				}
@@ -368,8 +352,7 @@ func (s *Server) serveConn(th *core.Thread, cs *connState) {
 					batch = codec.AppendFault(batch, 503, "request deadline exceeded\n")
 					_ = writer.flushFinal(th, batch)
 					batch = nil
-					s.markCompleted(cs)
-					return
+					return true
 				}
 				batch = codec.AppendResponse(batch, f, resp, closing)
 			}
@@ -382,8 +365,7 @@ func (s *Server) serveConn(th *core.Thread, cs *connState) {
 			if closing {
 				_ = writer.flushFinal(th, batch)
 				batch = nil
-				s.markCompleted(cs)
-				return
+				return true
 			}
 			// Opportunistic flush: hand the batch over whenever a pump slot
 			// is free; with both slots busy keep accumulating — that is the
@@ -400,16 +382,13 @@ func (s *Server) serveConn(th *core.Thread, cs *connState) {
 		if len(batch) > 0 {
 			var ferr error
 			if batch, ferr = writer.flush(th, batch); ferr != nil {
-				return // client gone mid-write
+				return false // client gone mid-write
 			}
 			batched = 0
 		}
 		if sawEOF {
 			_ = writer.reapAll(th) // the last batch reaches the kernel before the fd closes
-			if len(buf) == 0 {
-				s.markCompleted(cs) // clean close between frames
-			}
-			return
+			return len(buf) == 0   // clean close between frames
 		}
 
 		// Park for more input (or idle timeout, or drain).
@@ -439,8 +418,7 @@ func (s *Server) serveConn(th *core.Thread, cs *connState) {
 			}
 			_ = writer.flushFinal(th, batch)
 			batch = nil
-			s.markCompleted(cs)
-			return
+			return true
 		case readChunk:
 			buf = append(buf, x.data...)
 			putBuf(x.data)
@@ -507,47 +485,33 @@ func (s *Server) dispatch(th *core.Thread, cs *connState, req *web.Request) (web
 func (s *Server) dispatchBounded(th *core.Thread, cs *connState, req *web.Request) (web.Response, bool) {
 	var resp web.Response
 	var finished bool // written by the worker before it returns
-	var worker *core.Thread
+	// Spawned and recorded in one s.mu section: the reaper reads cs.worker
+	// under s.mu after shutting cs.cust down, so it either sees this worker
+	// or ran first — and then the spawn lands on a dead custodian and
+	// creates a thread that is already done.
+	s.mu.Lock()
 	th.WithCustodian(cs.cust, func() {
-		worker = th.Spawn(fmt.Sprintf("netsvc-req-%d", cs.id), func(x *core.Thread) {
+		cs.worker = th.Spawn(fmt.Sprintf("netsvc-req-%d", cs.id), func(x *core.Thread) {
 			r := s.web.Dispatch(x, cs.sess, req)
 			resp, finished = r, true
 		})
 	})
-	s.mu.Lock()
-	s.threads[worker] = struct{}{}
+	worker := cs.worker
 	s.mu.Unlock()
-	var v core.Value
+	var err error
 	for {
-		var err error
-		v, err = core.Sync(th, core.Choice(
-			core.Wrap(worker.DoneEvt(), func(core.Value) core.Value { return "done" }),
-			core.Wrap(core.After(s.rt, s.cfg.RequestTimeout), func(core.Value) core.Value { return "deadline" }),
-		))
-		if err == nil {
+		_, err = supervise.SyncWithDeadline(th, worker.DoneEvt(), s.cfg.RequestTimeout)
+		if !errors.Is(err, core.ErrBreak) {
 			break
 		}
 	}
-	// finished is only read on the "done" path, after the worker's DoneEvt
-	// committed — the write happens-before the read.
-	timedOut := v != "done" || !finished
-	if timedOut {
-		worker.Kill()
-	}
-	s.mu.Lock()
-	delete(s.threads, worker)
-	s.mu.Unlock()
-	if timedOut {
+	// finished is only read once the worker's DoneEvt has committed — the
+	// write happens-before the read.
+	if err != nil || !finished {
 		// Do not touch resp: a worker killed mid-dispatch may still be
 		// unwinding toward its safe point.
+		worker.Kill()
 		return web.Response{}, true
 	}
 	return resp, false
-}
-
-// markCompleted classifies the session as cleanly ended for the monitor.
-func (s *Server) markCompleted(cs *connState) {
-	s.mu.Lock()
-	cs.completed = true
-	s.mu.Unlock()
 }

@@ -26,6 +26,13 @@
 // mounted web.Server as a session — so the administrator's Terminate
 // closes the socket and reclaims the session without endangering any
 // shared kill-safe abstraction, exactly as in the in-process scenario.
+//
+// A connection has one owner and one end-of-life path (diagram in DESIGN
+// S13): the session returning, its thread being killed, and its
+// custodian being shut down all funnel into endConn, which only
+// announces the end; the server's one reaper thread does the cleanup,
+// exactly once. A connection costs one runtime thread and three
+// goroutines (session, read pump, write pump).
 package netsvc
 
 import (
@@ -181,7 +188,7 @@ type Server struct {
 	newCodec  wire.Factory // mints the per-connection protocol codec
 	protoName string       // codec name, for the stats surface
 
-	adm      *admission               // adaptive admission; nil unless Config.AdmitTarget > 0
+	adm      *admission // adaptive admission; nil unless Config.AdmitTarget > 0
 	classify func(*web.Request) Priority
 
 	stats    *Stats
@@ -190,27 +197,36 @@ type Server struct {
 	pending  *core.Semaphore // counts conns handed off in connCh
 	pendingN atomic.Int64    // accepted-but-unserved conns, for load shedding
 	connCh   chan pendingConn
-	quit     chan struct{}  // closed by custodian shutdown; unblocks the pump's handoff
-	drain    *core.External // completed when Shutdown begins
-	migrate  *core.External // completed by DrainShard: the acceptor rehomes instead of serving
+	quit     chan struct{}       // closed by custodian shutdown; unblocks the pump's handoff
+	drain    *core.External      // completed when Shutdown begins
+	migrate  *core.External      // completed by DrainShard: the acceptor rehomes instead of serving
 	rehome   func(net.Conn) bool // sharded: move a queued conn to a healthy sibling shard
-	pumpRet  *core.External // completed when the accept pump exits
+	pumpRet  *core.External      // completed when the accept pump exits
 
-	mu      sync.Mutex
-	conns   map[int64]*connState
-	threads map[*core.Thread]struct{} // every runtime thread we spawned
-	nextID  int64
+	reap   *core.Semaphore // one token per entry of ended
+	reaper *core.Thread    // the server's one reaper thread, under cust
+
+	mu     sync.Mutex
+	conns  map[int64]*connState // every started connection, until the reaper retires it
+	ended  []*connState         // connections whose end was announced, awaiting the reaper
+	idle   *core.External       // IdleEvt's cell: completed when conns next empties; nil if nobody waits
+	nextID int64
 }
 
 // connState is the server's record of one live connection.
 type connState struct {
-	id        int64
-	c         net.Conn
-	queuedAt  time.Time // accept time; first-request admission sojourn baseline
-	cust      *core.Custodian
-	sess      *web.Session
-	th        *core.Thread // session thread
-	completed bool         // set under s.mu when the session ends cleanly
+	id       int64
+	c        net.Conn
+	queuedAt time.Time // accept time; first-request admission sojourn baseline
+	cust     *core.Custodian
+	sess     *web.Session
+	th       *core.Thread  // session thread
+	done     chan struct{} // closed by endConn: the pumps' exit signal
+
+	// Guarded by s.mu.
+	worker    *core.Thread // latest RequestTimeout worker (possibly finished); nil before the first
+	completed bool         // the session ended cleanly
+	ended     bool         // endConn has run
 }
 
 // pendingConn is one accepted connection in flight to the acceptor,
@@ -282,8 +298,8 @@ func serveOn(th *core.Thread, ws *web.Server, cfg Config, ln net.Listener) (*Ser
 		drain:   core.NewExternal(rt),
 		migrate: core.NewExternal(rt),
 		pumpRet: core.NewExternal(rt),
+		reap:    core.NewSemaphore(rt, 0),
 		conns:   make(map[int64]*connState),
-		threads: make(map[*core.Thread]struct{}),
 	}
 	s.newCodec = codec
 	s.protoName = codec().Name()
@@ -329,12 +345,10 @@ func serveOn(th *core.Thread, ws *web.Server, cfg Config, ln net.Listener) (*Ser
 	s.sup.Start(th, supervise.ChildSpec{
 		Name:   "netsvc-accept",
 		Policy: supervise.Transient,
-		Start: func(x *core.Thread) {
-			s.mu.Lock()
-			s.threads[x] = struct{}{}
-			s.mu.Unlock()
-			s.acceptLoop(x)
-		},
+		Start:  s.acceptLoop,
+	})
+	th.WithCustodian(s.cust, func() {
+		s.reaper = th.Spawn("netsvc-reaper", s.reapLoop)
 	})
 	return s, nil
 }
@@ -417,12 +431,6 @@ func (s *Server) submit(c net.Conn) {
 	}
 }
 
-// load is the shard-assignment metric: connections currently being served
-// plus those accepted but not yet claimed. Readable from any goroutine.
-func (s *Server) load() int64 {
-	return s.stats.active.Load() + s.pendingN.Load()
-}
-
 // pendingLoadWeight over-weights accepted-but-unclaimed connections in the
 // shard-assignment score. An active session may be an idle keep-alive, but
 // a deep pending queue means the engine's acceptor is not keeping up —
@@ -454,8 +462,8 @@ func (s *Server) shedConn(c net.Conn) {
 }
 
 // acceptLoop is the acceptor runtime thread: it claims pumped
-// connections, enforces the connection cap, and spawns a session plus its
-// monitor per connection. Being a runtime thread, it is suspendable and
+// connections, enforces the connection cap, and spawns a session per
+// connection. Being a runtime thread, it is suspendable and
 // killable at every Sync.
 func (s *Server) acceptLoop(th *core.Thread) {
 	// Hoisted once per acceptor lifetime: no per-connection event allocs.
@@ -540,7 +548,7 @@ func (s *Server) rehomeConn(c net.Conn) {
 }
 
 // startConn places the conn under a fresh per-connection custodian,
-// attaches a web session, and spawns the session thread and its monitor.
+// attaches a web session, and spawns the session thread.
 func (s *Server) startConn(th *core.Thread, pc pendingConn) {
 	c := pc.c
 	s.pendingN.Add(-1) // the conn is being served from here on
@@ -555,83 +563,140 @@ func (s *Server) startConn(th *core.Thread, pc pendingConn) {
 		return
 	}
 	s.cust.Unregister(c)
+	cs := &connState{c: c, queuedAt: pc.queuedAt, cust: ccust, done: make(chan struct{})}
 
-	cs := &connState{c: c, queuedAt: pc.queuedAt, cust: ccust, sess: s.web.AttachSession(ccust)}
+	// Spawn under s.mu: a session that ends instantly announces itself
+	// through endConn, which needs s.mu, so the reaper cannot see cs before
+	// cs.th is set and cs is in s.conns. The drain check sits in the same
+	// section so that once Shutdown has begun the set it waits on, and
+	// finally sweeps, only shrinks.
 	s.mu.Lock()
+	if s.drain.Completed() {
+		s.mu.Unlock()
+		ccust.Shutdown() // closes c
+		s.stats.rejected.Add(1)
+		s.slots.Post()
+		return
+	}
 	s.nextID++
 	cs.id = s.nextID
-	s.mu.Unlock()
-
-	// cs.th must be assigned before cs is published in s.conns: Shutdown
-	// reads cs.th from the map under s.mu, so the session thread is
-	// spawned first and the insert is the publication point. The monitor
-	// is spawned only after the insert — its cleanup deletes cs from the
-	// map, and a session dying instantly must not race the delete past
-	// the insert (a stale entry would wedge Shutdown's drain loop).
+	cs.sess = s.web.AttachSession(ccust)
 	th.WithCustodian(ccust, func() {
 		cs.th = th.Spawn(fmt.Sprintf("netsvc-conn-%d", cs.id), func(x *core.Thread) {
-			s.serveConn(x, cs)
+			// clean is still false when a Kill unwinds (by panic) through
+			// the defer. Only a Kill before the body starts would skip it,
+			// and cs.th is not reachable from outside this package.
+			clean := false
+			defer func() { s.endConn(cs, clean) }()
+			clean = s.serveConn(x, cs)
 		})
 	})
-	s.mu.Lock()
 	s.conns[cs.id] = cs
-	s.threads[cs.th] = struct{}{}
-	s.mu.Unlock()
 	s.stats.active.Add(1)
-
-	var mon *core.Thread
-	th.WithCustodian(s.cust, func() {
-		mon = th.Spawn(fmt.Sprintf("netsvc-mon-%d", cs.id), func(x *core.Thread) {
-			s.monitorConn(x, cs)
-		})
-	})
-	s.mu.Lock()
-	s.threads[mon] = struct{}{}
 	s.mu.Unlock()
+	// Shutting ccust down (web.Terminate, the server custodian, Shutdown's
+	// straggler pass) announces the end too. Registered outside s.mu: a
+	// custodian that is already dead runs the closer on the spot.
+	_ = ccust.Register(closerFunc(func() error { s.endConn(cs, false); return nil }))
 }
 
-// monitorConn waits for the connection to end — the session thread
-// returning, or the connection custodian being shut down by the
-// administrator — and performs the one-time cleanup: close the fd (via
-// custodian shutdown), release the connection slot, reap the session
-// thread, and classify the outcome for the stats surface.
-func (s *Server) monitorConn(th *core.Thread, cs *connState) {
+// endConn announces, once, that a connection is over: it releases the
+// pumps and queues cs for the reaper. It runs in a custodian closer, so
+// it stays plain Go — a mutex-guarded append and a Semaphore.Post, the
+// same outside-the-runtime signalling the pumps use — and never calls
+// back into the runtime.
+func (s *Server) endConn(cs *connState, clean bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	cs.completed = cs.completed || clean
+	if cs.ended {
+		return
+	}
+	cs.ended = true
+	close(cs.done)
+	s.ended = append(s.ended, cs)
+	s.reap.Post()
+}
+
+// reapLoop is the server's one reaper thread, the only place a connection
+// is cleaned up: close the fd (via custodian shutdown), drop the session
+// from the administrator's view, classify the outcome, release the slot,
+// and kill the threads the connection owned. It lives under the server
+// custodian, so the abrupt path (Custodian().Shutdown()) suspends it with
+// everything else and the accounting of connections still open is lost;
+// the graceful Shutdown ends stragglers while it is live.
+func (s *Server) reapLoop(th *core.Thread) {
+	ended := s.reap.WaitEvt() // hoisted: no per-connection event allocs
 	for {
-		if _, err := core.Sync(th, core.Choice(cs.th.DoneEvt(), cs.cust.DeadEvt())); err == nil {
-			break
+		if _, err := core.Sync(th, ended); err != nil {
+			continue // stray break
+		}
+		s.mu.Lock()
+		cs := s.ended[0] // one token per entry: never empty here
+		s.ended = s.ended[1:]
+		s.mu.Unlock()
+
+		cs.cust.Shutdown() // idempotent; closes the fd when the session ended on its own
+		s.web.Detach(cs.sess.ID)
+		s.mu.Lock()
+		delete(s.conns, cs.id)
+		completed, worker := cs.completed, cs.worker
+		var idle *core.External
+		if len(s.conns) == 0 {
+			idle, s.idle = s.idle, nil
+		}
+		s.mu.Unlock()
+		s.stats.active.Add(-1)
+		if completed {
+			s.stats.drained.Add(1)
+		} else {
+			s.stats.killed.Add(1)
+		}
+		s.slots.Post()
+		// The session thread and its deadline worker are condemned (their
+		// only custodian is dead); kill them so a long-running server does
+		// not accumulate suspended threads — TerminateCondemned, scoped to
+		// one connection. Killing a finished thread is a no-op.
+		cs.th.Kill()
+		if worker != nil {
+			worker.Kill()
+		}
+		if idle != nil {
+			idle.Complete(core.Unit{})
 		}
 	}
-	cs.cust.Shutdown() // idempotent; closes the conn and the reader's quit closer
-	s.web.Detach(cs.sess.ID)
+}
+
+// IdleEvt returns an event that is ready once the server has no
+// connection left to reap: every connection started before the call has
+// been cleaned up — counters ticked, slot released, threads killed (they
+// finish unwinding on their own time). It is the reaper's quiescence
+// signal; Shutdown and tests wait on it instead of polling the counters.
+func (s *Server) IdleEvt() core.Event {
 	s.mu.Lock()
-	delete(s.conns, cs.id)
-	delete(s.threads, cs.th)
-	completed := cs.completed
-	s.mu.Unlock()
-	s.stats.active.Add(-1)
-	if completed {
-		s.stats.drained.Add(1)
-	} else {
-		s.stats.killed.Add(1)
+	defer s.mu.Unlock()
+	if len(s.conns) == 0 {
+		return core.Always(core.Unit{})
 	}
-	s.slots.Post()
-	// The session thread is condemned (its only custodian is dead); reap
-	// it deterministically so long-running servers do not accumulate
-	// suspended threads. This is TerminateCondemned, scoped to one thread.
-	cs.th.Kill()
-	s.mu.Lock()
-	delete(s.threads, th)
-	s.mu.Unlock()
+	if s.idle == nil {
+		s.idle = core.NewExternal(s.rt)
+	}
+	return s.idle.Evt()
 }
 
 // ErrServerDown is returned by Shutdown if called twice.
 var ErrServerDown = errors.New("netsvc: server is shut down")
 
+// reapBound caps Shutdown's wait for the reaper to retire the stragglers.
+// The reaper never blocks on a connection, so the bound is a backstop.
+const reapBound = 5 * time.Second
+
 // Shutdown gracefully drains the server from a runtime thread: stop
 // accepting, let in-flight sessions finish for up to grace, then shut the
 // server custodian down (closing every remaining fd) and reap every
 // serving thread. On return no netsvc-owned runtime thread is live and no
-// netsvc-owned goroutine remains (pumps unblock as their fds close).
+// netsvc-owned goroutine remains (pumps unblock as their fds close). A
+// break sent to th cuts a wait short; the shutdown still completes.
 func (s *Server) Shutdown(th *core.Thread, grace time.Duration) error {
 	if !s.drain.Complete(core.Unit{}) {
 		return ErrServerDown
@@ -639,38 +704,14 @@ func (s *Server) Shutdown(th *core.Thread, grace time.Duration) error {
 	if s.ln != nil {
 		_ = s.ln.Close()
 	}
-	deadline := time.Now().Add(grace)
-	for {
-		s.mu.Lock()
-		var waitFor *core.Thread
-		for _, cs := range s.conns {
-			waitFor = cs.th
-			break
-		}
-		s.mu.Unlock()
-		if waitFor == nil {
-			break
-		}
-		v, err := core.Sync(th, core.Choice(
-			core.Wrap(waitFor.DoneEvt(), func(core.Value) core.Value { return "done" }),
-			core.Wrap(core.AlarmAt(s.rt, deadline), func(core.Value) core.Value { return "timeout" }),
-		))
-		if err != nil {
-			continue
-		}
-		if v == "timeout" {
-			break
-		}
-		// Let the monitor finish its cleanup before re-scanning.
-		if err := core.Sleep(th, time.Millisecond); err != nil {
-			return err
-		}
-	}
-	// Grace expired (or every session finished): terminate stragglers
-	// through their own custodians while the monitors are still live, so
-	// the normal cleanup path runs and the stats classify them as killed.
-	// (The server-custodian shutdown below would suspend the monitors
-	// along with everything else, losing the accounting.)
+	// startConn refuses from here on, so one idle event covers the whole
+	// shutdown. A dead server custodian is the other way out: the reaper
+	// is suspended with it and idle would never come.
+	quiet := core.Choice(s.IdleEvt(), s.cust.DeadEvt())
+	_, _ = supervise.SyncWithDeadline(th, quiet, grace)
+	// Grace expired (or every session finished): end stragglers through
+	// their own custodians while the reaper is still live, so the normal
+	// cleanup runs and the stats classify them as killed.
 	s.mu.Lock()
 	strays := make([]*connState, 0, len(s.conns))
 	for _, cs := range s.conns {
@@ -680,44 +721,21 @@ func (s *Server) Shutdown(th *core.Thread, grace time.Duration) error {
 	for _, cs := range strays {
 		cs.cust.Shutdown()
 	}
-	for {
-		s.mu.Lock()
-		n := len(s.conns)
-		s.mu.Unlock()
-		if n == 0 {
-			break
-		}
-		if err := core.Sleep(th, time.Millisecond); err != nil {
-			return err
-		}
-	}
+	_, _ = supervise.SyncWithDeadline(th, quiet, reapBound)
 	s.cust.Shutdown()
-	// Reap the supervisor first — its monitor thread must not respawn the
-	// acceptor while we kill it below (the custodian is already dead, so
-	// any respawn would be stillborn, but the monitor itself would stay
-	// parked in its backoff sleep forever).
+	// Every thread netsvc owns hangs off the supervisor (the acceptor and
+	// its monitor), is the reaper, or belongs to a connection the reaper
+	// did not get to; all are condemned now, so kill them.
 	s.sup.Stop()
-	// Reap every thread we spawned. Loop because a startConn racing the
-	// shutdown may insert its spawns after the first snapshot; once the
-	// acceptor is dead the map stops refilling and the loop terminates.
-	for {
-		s.mu.Lock()
-		ths := make([]*core.Thread, 0, len(s.threads))
-		for t := range s.threads {
-			ths = append(ths, t)
-		}
-		s.threads = make(map[*core.Thread]struct{})
-		s.mu.Unlock()
-		if len(ths) == 0 {
-			break
-		}
-		for _, t := range ths {
-			t.Kill()
-		}
-		if err := core.Sleep(th, time.Millisecond); err != nil {
-			return err
+	s.reaper.Kill()
+	s.mu.Lock()
+	for _, cs := range s.conns {
+		cs.th.Kill()
+		if cs.worker != nil {
+			cs.worker.Kill()
 		}
 	}
+	s.mu.Unlock()
 	// Wait for the accept pump to exit so "no goroutines leaked" holds
 	// the moment Shutdown returns.
 	_, err := core.Sync(th, s.pumpRet.Evt())

@@ -417,18 +417,6 @@ func (m *ShardedServer) isDown() bool {
 	return m.down
 }
 
-// DrainAll performs a rolling drain: every shard in turn is retired and
-// replaced, one at a time, while its siblings carry the traffic.
-func (m *ShardedServer) DrainAll(grace time.Duration) error {
-	var errs []error
-	for i := range m.shards {
-		if err := m.DrainShard(i, grace); err != nil {
-			errs = append(errs, fmt.Errorf("drain shard %d: %w", i, err))
-		}
-	}
-	return errors.Join(errs...)
-}
-
 // Shutdown gracefully drains the fleet: stop accepting, then order every
 // shard to drain concurrently under the shared grace deadline, wait for
 // all of them, and tear the runtimes down. Callable from plain Go code

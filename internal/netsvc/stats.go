@@ -1,7 +1,8 @@
 package netsvc
 
 import (
-	"fmt"
+	"encoding/json"
+	"reflect"
 	"sync/atomic"
 )
 
@@ -56,27 +57,27 @@ func (s *Stats) notePipelineDepth(n int64) {
 // the counters sum, PipelineHWM and SojournEWMAus take the fleet
 // maximum, and Overloaded is true if any shard is shedding.
 type StatsSnapshot struct {
-	Protocol     string `json:"protocol"`
-	Accepted     int64  `json:"accepted"`
-	Active       int64  `json:"active"`
-	Drained      int64  `json:"drained"`
-	Killed       int64  `json:"killed"`
-	TimedOut     int64  `json:"timed_out"`
-	Rejected     int64  `json:"rejected"`
-	Shed         int64  `json:"shed"`
-	AdmShed      int64  `json:"adm_shed"`
-	AdmShedBulk  int64  `json:"adm_shed_bulk"`
-	Migrated     int64  `json:"migrated"`
-	ReqAdmin     int64  `json:"req_admin"`
-	ReqNormal    int64  `json:"req_normal"`
-	ReqBulk      int64  `json:"req_bulk"`
-	Deadlined    int64  `json:"deadlined"`
-	Restarts     int64  `json:"restarts"`
-	Requests     int64  `json:"requests"`
-	Responses    int64  `json:"responses"`
-	PipelineHWM  int64  `json:"pipeline_hwm"`
-	SojournEWMAus int64 `json:"sojourn_ewma_us"` // smoothed queue delay, µs
-	Overloaded   bool   `json:"overloaded"`      // admission controller currently shedding
+	Protocol      string `json:"protocol"`
+	Accepted      int64  `json:"accepted"`
+	Active        int64  `json:"active"`
+	Drained       int64  `json:"drained"`
+	Killed        int64  `json:"killed"`
+	TimedOut      int64  `json:"timed_out"`
+	Rejected      int64  `json:"rejected"`
+	Shed          int64  `json:"shed"`
+	AdmShed       int64  `json:"adm_shed"`
+	AdmShedBulk   int64  `json:"adm_shed_bulk"`
+	Migrated      int64  `json:"migrated"`
+	ReqAdmin      int64  `json:"req_admin"`
+	ReqNormal     int64  `json:"req_normal"`
+	ReqBulk       int64  `json:"req_bulk"`
+	Deadlined     int64  `json:"deadlined"`
+	Restarts      int64  `json:"restarts"`
+	Requests      int64  `json:"requests"`
+	Responses     int64  `json:"responses"`
+	PipelineHWM   int64  `json:"pipeline_hwm"`
+	SojournEWMAus int64  `json:"sojourn_ewma_us"` // smoothed queue delay, µs
+	Overloaded    bool   `json:"overloaded"`      // admission controller currently shedding
 	// ShardsDrained counts completed live drain/handoff cycles; only the
 	// fleet-level (ShardedServer) snapshot sets it.
 	ShardsDrained int64 `json:"shards_drained"`
@@ -105,13 +106,30 @@ func (s *Stats) snapshot() StatsSnapshot {
 	}
 }
 
-// json renders the snapshot without importing encoding/json into the
-// serving path (the shape is fixed and flat).
+// addStats folds two serving snapshots. It walks StatsSnapshot's own
+// field list, so a new counter needs no line here: every integer field
+// sums, except the two gauges that are fleet maxima; Overloaded is true
+// if either side is shedding; and the protocol name carries over (every
+// shard of a fleet speaks the same protocol).
+func addStats(a, b StatsSnapshot) StatsSnapshot {
+	hwm, ewma := max(a.PipelineHWM, b.PipelineHWM), max(a.SojournEWMAus, b.SojournEWMAus)
+	av, bv := reflect.ValueOf(&a).Elem(), reflect.ValueOf(b)
+	for i := 0; i < av.NumField(); i++ {
+		if f := av.Field(i); f.Kind() == reflect.Int64 {
+			f.SetInt(f.Int() + bv.Field(i).Int())
+		}
+	}
+	a.PipelineHWM, a.SojournEWMAus = hwm, ewma
+	a.Overloaded = a.Overloaded || b.Overloaded
+	if a.Protocol == "" {
+		a.Protocol = b.Protocol
+	}
+	return a
+}
+
+// json renders the snapshot as one compact object, fields in declaration
+// order.
 func (v StatsSnapshot) json() string {
-	return fmt.Sprintf(
-		`{"protocol":%q,"accepted":%d,"active":%d,"drained":%d,"killed":%d,"timed_out":%d,"rejected":%d,"shed":%d,"adm_shed":%d,"adm_shed_bulk":%d,"migrated":%d,"req_admin":%d,"req_normal":%d,"req_bulk":%d,"deadlined":%d,"restarts":%d,"requests":%d,"responses":%d,"pipeline_hwm":%d,"sojourn_ewma_us":%d,"overloaded":%t,"shards_drained":%d}`,
-		v.Protocol, v.Accepted, v.Active, v.Drained, v.Killed, v.TimedOut, v.Rejected, v.Shed,
-		v.AdmShed, v.AdmShedBulk, v.Migrated, v.ReqAdmin, v.ReqNormal, v.ReqBulk,
-		v.Deadlined, v.Restarts, v.Requests, v.Responses, v.PipelineHWM,
-		v.SojournEWMAus, v.Overloaded, v.ShardsDrained)
+	b, _ := json.Marshal(v) // a flat struct of strings, ints and a bool cannot fail
+	return string(b)
 }
