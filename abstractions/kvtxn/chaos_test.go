@@ -70,17 +70,46 @@ func transferOnce(x *core.Thread, s *kvtxn.Store, src, dst string, amount int) (
 	}
 }
 
+// readOnce runs one read-only transaction over two keys. Like
+// transferOnce it tolerates clean aborts and reports only unexpected
+// failures.
+func readOnce(x *core.Thread, s *kvtxn.Store, a, b string) error {
+	tx, err := s.Begin(x)
+	if err != nil {
+		return err
+	}
+	for _, k := range []string{a, b} {
+		if _, _, err := tx.Get(x, k); err != nil {
+			_ = tx.Abort(x)
+			return nil
+		}
+	}
+	if err := tx.Commit(x); err != nil && err != kvtxn.ErrConflict {
+		return err
+	}
+	return nil
+}
+
 // TestChaosKillStorm hammers a store with transfer workers while a killer
 // thread terminates them at random instants, under both commit
-// strategies. Invariants: the store audits clean after the storm (zero
+// strategies, once with transfers only and once with every third
+// transaction read-only (so kills also land inside read-only
+// transactions, which hold read locks or read sets). Invariants: the store audits clean after the storm (zero
 // wedged locks, parked waiters, prepare stashes, or registry entries),
 // the account sum is exactly preserved (no half-commits, no lost
 // transfers), and the observability books balance — every spawned thread
 // is accounted as a normal exit or a kill, with nothing left live.
 func TestChaosKillStorm(t *testing.T) {
-	for _, strat := range []kvtxn.Strategy{kvtxn.Locking, kvtxn.OCC} {
-		strat := strat
-		t.Run(strat.String(), func(t *testing.T) {
+	for _, tc := range []struct {
+		strat    kvtxn.Strategy
+		readOnly bool
+	}{{kvtxn.Locking, false}, {kvtxn.OCC, false}, {kvtxn.Locking, true}, {kvtxn.OCC, true}} {
+		strat := tc.strat
+		name := strat.String()
+		if tc.readOnly {
+			name += "/read-only-mix"
+		}
+		t.Run(name, func(t *testing.T) {
 			const (
 				accounts = 8
 				workers  = 10
@@ -130,6 +159,13 @@ func TestChaosKillStorm(t *testing.T) {
 							dst := wr.Intn(accounts)
 							if src == dst {
 								dst = (dst + 1) % accounts
+							}
+							if tc.readOnly && wr.Intn(3) == 0 {
+								if err := readOnce(x, s, keys[src], keys[dst]); err != nil {
+									t.Errorf("worker read: %v", err)
+									return
+								}
+								continue
 							}
 							if _, err := transferOnce(x, s, keys[src], keys[dst], 1+wr.Intn(5)); err != nil {
 								t.Errorf("worker transfer: %v", err)

@@ -414,8 +414,7 @@ func BenchmarkInterpQueue(b *testing.B) {
 }
 
 // netsvcClient is a plain-goroutine HTTP/1.0 client for the loopback
-// serving benchmarks: one keep-alive connection, redialing when the
-// server (or an administrator's kill) closes it.
+// serving benchmark: one keep-alive connection, dialed on first use.
 type netsvcClient struct {
 	addr string
 	c    net.Conn
@@ -429,31 +428,20 @@ func (cl *netsvcClient) close() {
 	}
 }
 
-// get performs one request, transparently redialing and retrying if the
-// connection was cut (a kill-storm casualty counts only once served).
+// get performs one request on the client's connection.
 func (cl *netsvcClient) get(target string) error {
-	var lastErr error
-	for attempt := 0; attempt < 100; attempt++ {
-		if cl.c == nil {
-			c, err := net.Dial("tcp", cl.addr)
-			if err != nil {
-				lastErr = err
-				continue
-			}
-			cl.c = c
-			cl.r = bufio.NewReader(c)
+	if cl.c == nil {
+		c, err := net.Dial("tcp", cl.addr)
+		if err != nil {
+			return err
 		}
-		_, err := fmt.Fprintf(cl.c, "GET %s HTTP/1.0\r\nConnection: keep-alive\r\n\r\n", target)
-		if err == nil {
-			err = cl.readResponse()
-		}
-		if err == nil {
-			return nil
-		}
-		lastErr = err
-		cl.close()
+		cl.c = c
+		cl.r = bufio.NewReader(c)
 	}
-	return fmt.Errorf("gave up after 100 attempts: %w", lastErr)
+	if _, err := fmt.Fprintf(cl.c, "GET %s HTTP/1.0\r\nConnection: keep-alive\r\n\r\n", target); err != nil {
+		return err
+	}
+	return cl.readResponse()
 }
 
 func (cl *netsvcClient) readResponse() error {
@@ -476,196 +464,6 @@ func (cl *netsvcClient) readResponse() error {
 	}
 	_, err := io.CopyN(io.Discard, cl.r, int64(n))
 	return err
-}
-
-// benchServe starts a netsvc server with a trivial /ping servlet.
-func benchServe(b *testing.B, th *killsafe.Thread) (*netsvc.Server, *web.Server) {
-	b.Helper()
-	ws := web.NewServer(th)
-	ws.Handle("/ping", func(_ *killsafe.Thread, _ *web.Session, _ *web.Request) web.Response {
-		return web.Response{Status: 200, Body: "pong"}
-	})
-	s, err := netsvc.Serve(th, ws, netsvc.Config{MaxConns: 32, IdleTimeout: 10 * time.Second})
-	if err != nil {
-		b.Fatal(err)
-	}
-	return s, ws
-}
-
-// E17: full TCP round-trip latency through the serving bridge — pump
-// goroutine → semaphore handoff → session thread Sync → servlet dispatch
-// → blocking-write helper — one keep-alive client, sequential requests.
-func BenchmarkNetsvcRoundTrip(b *testing.B) {
-	benchRun(b, func(rt *killsafe.Runtime, th *killsafe.Thread) {
-		s, _ := benchServe(b, th)
-		cl := &netsvcClient{addr: s.Addr().String()}
-		defer cl.close()
-		if err := cl.get("/ping"); err != nil { // warm the connection
-			b.Fatal(err)
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if err := cl.get("/ping"); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.StopTimer()
-		cl.close()
-		if err := s.Shutdown(th, 2*time.Second); err != nil {
-			b.Fatal(err)
-		}
-	})
-}
-
-// E17: serving throughput with N concurrent keep-alive clients.
-func BenchmarkNetsvcThroughput(b *testing.B) {
-	for _, clients := range []int{1, 8} {
-		b.Run(fmt.Sprintf("clients-%d", clients), func(b *testing.B) {
-			benchRun(b, func(rt *killsafe.Runtime, th *killsafe.Thread) {
-				s, _ := benchServe(b, th)
-				addr := s.Addr().String()
-				per := b.N / clients
-				errc := make(chan error, clients)
-				var wg sync.WaitGroup
-				b.ResetTimer()
-				for w := 0; w < clients; w++ {
-					wg.Add(1)
-					go func() {
-						defer wg.Done()
-						cl := &netsvcClient{addr: addr}
-						defer cl.close()
-						for i := 0; i < per; i++ {
-							if err := cl.get("/ping"); err != nil {
-								errc <- err
-								return
-							}
-						}
-					}()
-				}
-				wg.Wait()
-				b.StopTimer()
-				select {
-				case err := <-errc:
-					b.Fatal(err)
-				default:
-				}
-				if err := s.Shutdown(th, 2*time.Second); err != nil {
-					b.Fatal(err)
-				}
-			})
-		})
-	}
-}
-
-// E20: sharded serving throughput — clients × shards. Each shard is an
-// independent runtime (own custodian tree, own servlet instance) behind
-// one listener, so the per-runtime global rendezvous lock is contended
-// only within a shard and throughput can scale with cores. On a
-// single-core runner the shards time-slice one CPU and the curve stays
-// flat — see BENCH_scaling.json for readings.
-func BenchmarkNetsvcScaling(b *testing.B) {
-	for _, shards := range []int{1, 4} {
-		for _, clients := range []int{1, 8, 32} {
-			b.Run(fmt.Sprintf("shards-%d/clients-%d", shards, clients), func(b *testing.B) {
-				m, err := netsvc.ServeSharded(
-					netsvc.Config{MaxConns: 64, IdleTimeout: 10 * time.Second, Shards: shards},
-					func(th *killsafe.Thread, _ int) *web.Server {
-						ws := web.NewServer(th)
-						ws.Handle("/ping", func(_ *killsafe.Thread, _ *web.Session, _ *web.Request) web.Response {
-							return web.Response{Status: 200, Body: "pong"}
-						})
-						return ws
-					})
-				if err != nil {
-					b.Fatal(err)
-				}
-				addr := m.Addr().String()
-				per := b.N / clients
-				errc := make(chan error, clients)
-				var wg sync.WaitGroup
-				b.ResetTimer()
-				for w := 0; w < clients; w++ {
-					wg.Add(1)
-					go func() {
-						defer wg.Done()
-						cl := &netsvcClient{addr: addr}
-						defer cl.close()
-						for i := 0; i < per; i++ {
-							if err := cl.get("/ping"); err != nil {
-								errc <- err
-								return
-							}
-						}
-					}()
-				}
-				wg.Wait()
-				b.StopTimer()
-				select {
-				case err := <-errc:
-					b.Fatal(err)
-				default:
-				}
-				if err := m.Shutdown(2 * time.Second); err != nil {
-					b.Fatal(err)
-				}
-			})
-		}
-	}
-}
-
-// E17 under fire: throughput while an administrator terminates a random
-// live session every couple of milliseconds. Clients redial and retry;
-// the measured op is a *served* request, so the delta against the quiet
-// throughput run is the price of kills (reconnects + reaping).
-func BenchmarkNetsvcKillStorm(b *testing.B) {
-	benchRun(b, func(rt *killsafe.Runtime, th *killsafe.Thread) {
-		s, ws := benchServe(b, th)
-		addr := s.Addr().String()
-		const clients = 4
-		per := b.N / clients
-		errc := make(chan error, clients)
-		var wg sync.WaitGroup
-		done := make(chan struct{})
-		b.ResetTimer()
-		for w := 0; w < clients; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				cl := &netsvcClient{addr: addr}
-				defer cl.close()
-				for i := 0; i < per; i++ {
-					if err := cl.get("/ping"); err != nil {
-						errc <- err
-						return
-					}
-				}
-			}()
-		}
-		go func() { wg.Wait(); close(done) }()
-		for k := 0; ; k++ {
-			select {
-			case <-done:
-			default:
-				if err := killsafe.Sleep(th, 2*time.Millisecond); err != nil {
-					b.Fatal(err)
-				}
-				if ids := ws.Sessions(); len(ids) > 0 {
-					ws.Terminate(ids[k%len(ids)])
-				}
-				continue
-			}
-			break
-		}
-		b.StopTimer()
-		select {
-		case err := <-errc:
-			b.Fatal(err)
-		default:
-		}
-		if err := s.Shutdown(th, 2*time.Second); err != nil {
-			b.Fatal(err)
-		}
-	})
 }
 
 // E19: one full kill→restart cycle through the supervisor — monitor
@@ -776,9 +574,10 @@ func BenchmarkSyncSingle(b *testing.B) {
 // and the disjoint/shared gap was noise; with per-event locks and the op
 // claim protocol, disjoint pairs touch disjoint mutexes and disjoint ops,
 // so the disjoint leg scales with cores while the shared leg measures the
-// per-object lock, not a runtime-wide one. On a 1-core container the two
+// per-object lock, not a runtime-wide one. On a 1-core machine the two
 // GOMAXPROCS legs time-slice the same CPU and the sweep mainly bounds the
-// scheduling overhead; see BENCH_scaling.json for the disclosure.
+// scheduling overhead. The CI global-lock fence runs this sweep under
+// mutex profiling.
 func BenchmarkCoreContention(b *testing.B) {
 	const pairs = 4
 	bench := func(b *testing.B, shared bool) {
@@ -830,11 +629,12 @@ func BenchmarkCoreContention(b *testing.B) {
 	}
 }
 
-// BenchmarkNetsvcServedRequest is one served request end to end (the
-// BenchmarkNetsvcRoundTrip path) under each instrumentation mode: the
-// obs-off leg is the fence against BENCH_scaling.json's round-trip
-// reading, and the obs-on/obs-rec spread is the overhead the CI fence
-// bounds. The body-string/body-bytes pair is the zero-copy response
+// BenchmarkNetsvcServedRequest is one served request end to end — pump
+// goroutine → semaphore handoff → session thread Sync → servlet dispatch
+// → write pump, one keep-alive client, sequential requests — under each
+// instrumentation mode: the obs-on/obs-rec spread against obs-off is the
+// overhead the CI fence bounds (killbench's serve_ping workload is the
+// end-to-end serving measurement). The body-string/body-bytes pair is the zero-copy response
 // path's before/after: body-string serializes the servlet's string body
 // into the pooled batch buffer (the legacy copy), body-bytes hands the
 // codec a []byte payload that is appended straight into the batch —

@@ -2,7 +2,8 @@
 // (E1–E14) — one per figure or claim in "Kill-Safe Synchronization
 // Abstractions" (PLDI 2004) — and prints an outcome table. The paper has
 // no quantitative tables; these are the rows its evaluation consists of.
-// Quantitative characterization lives in bench_test.go.
+// Quantitative characterization: the micro-benchmarks in bench_test.go
+// and killbench, the benchmark of record (bash bench/run.sh).
 //
 // Run with: go run ./cmd/experiments
 package main

@@ -24,13 +24,19 @@ type oneshot struct {
 	q     waitq
 }
 
-// commitRef is a (op, case) pair snapshotted from a waiter under the
-// owning event's lock. The commit runs after the lock is released, by
-// which time the waiter record itself may already be recycled by its
-// owner — so the ref, not the waiter, crosses the unlock.
+// commitRef is a waiter's (op, case) pair and generation, snapshotted
+// under the owning event's lock. The commit runs after the lock is
+// released, by which time the owner may have finished the sync and reused
+// the pooled op (and the waiter record) for its next one — so the ref
+// carries the generation the waiter had while it was enqueued, and the
+// commit is fenced on it exactly as a real alarm callback is (alarm.go).
+// The generation read under the lock is current: finish cancels the
+// waiter under this same lock before it bumps the generation.
 type commitRef struct {
+	w   *waiter
 	op  *syncOp
 	idx int
+	gen uint32
 }
 
 // fire makes the signal ready with v and commits every waiter that can
@@ -47,14 +53,31 @@ func (s *oneshot) fire(v Value) bool {
 	s.fired.Store(true)
 	var refs []commitRef
 	s.q.visit(func(w *waiter) (drop, cont bool) {
-		refs = append(refs, commitRef{w.op, w.idx})
+		refs = append(refs, commitRef{w, w.op, w.idx, w.gen.Load()})
 		return true, true
 	})
 	s.mu.Unlock()
 	for _, r := range refs {
-		commitReady(r.op, r.idx, v)
+		r.commit(v)
 	}
 	return true
+}
+
+// commit commits r's case unless the waiter has been recycled since the
+// snapshot. The generation is checked twice: before the claim as a cheap
+// filter, and under it — the claim's CAS synchronizes with acquireOp's
+// opSyncing store, which the owner issues after finish's generation bump,
+// so a stale ref that claims a recycled op observes the bump and rolls
+// back instead of committing a case of the wrong sync.
+func (r commitRef) commit(v Value) {
+	if r.w.gen.Load() != r.gen || !r.op.claim() {
+		return
+	}
+	if r.w.gen.Load() != r.gen || !r.op.th.matchable.Load() {
+		r.op.unclaim()
+		return
+	}
+	finalizeCommit(r.op, r.idx, v)
 }
 
 // poll attempts an immediate commit of op's case idx if the signal has

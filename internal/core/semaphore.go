@@ -122,7 +122,7 @@ func (e *semEvt) enroll(w *waiter) bool {
 	if !committed {
 		// Enqueue unless the op is already terminal. opClaimed is a
 		// transient state — a concurrent committer's claim can roll back
-		// (a two-party pairing that fails on the peer, a commitReady that
+		// (a two-party pairing that fails on the peer, a oneshot commit that
 		// finds the thread unmatchable) — so skipping the registration in
 		// that window would let the op return to opSyncing with no queue
 		// entry: a later Post would find no waiter and the thread would

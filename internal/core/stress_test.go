@@ -1,7 +1,9 @@
 package core_test
 
 import (
+	"fmt"
 	"math/rand"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -209,4 +211,105 @@ func TestChaosBooksBalance(t *testing.T) {
 			s.Spawns, s.Dones, outstanding)
 	}
 	t.Logf("books: spawns=%d dones=%d exits=%d kills=%d", s.Spawns, s.Dones, s.Exits, s.Kills)
+}
+
+// TestStressOneshotStaleFire races fire-once sources against waiter
+// recycling. A thread alternates a three-case choice — two Externals
+// completed concurrently by plain goroutines, and a semaphore that never
+// posts — with a one-case sync on a third External. When both choice
+// Externals fire at once, the loser's fire has already snapshotted a
+// reference to the thread's waiter under its signal lock; by the time it
+// commits, the owner may have finished the choice and reused the same
+// pooled op for the one-case sync. An unfenced reference then commits
+// case 2 of a one-case sync (index out of range) or hands the one-case
+// sync the choice External's value. The oneshot generation fence makes
+// the stale commit roll back. Assertions: every sync returns the value of
+// an event it actually synced on, in the current iteration.
+func TestStressOneshotStaleFire(t *testing.T) {
+	rt := core.NewRuntime()
+	defer rt.Shutdown()
+
+	type tagged struct {
+		iter int
+		tag  string
+	}
+	type job struct {
+		x   *core.External
+		v   tagged
+		gap int // spin iterations before completing, to vary the race
+	}
+	var bad atomic.Value // first violation, as a string
+	fail := func(format string, args ...any) { bad.CompareAndSwap(nil, fmt.Sprintf(format, args...)) }
+
+	// One plain goroutine per completion source, fed per iteration.
+	var wg sync.WaitGroup
+	feeds := make([]chan job, 3)
+	for i := range feeds {
+		feeds[i] = make(chan job, 1)
+		wg.Add(1)
+		go func(in chan job) {
+			defer wg.Done()
+			for j := range in {
+				for k := 0; k < j.gap; k++ {
+					runtime.Gosched()
+				}
+				j.x.Complete(j.v)
+			}
+		}(feeds[i])
+	}
+	defer func() {
+		for _, f := range feeds {
+			close(f)
+		}
+		wg.Wait()
+	}()
+
+	const budget = time.Second
+	iters := 0
+	err := rt.Run(func(th *core.Thread) {
+		never := core.NewSemaphore(rt, 0)
+		owner := th.Spawn("stale-fire-owner", func(x *core.Thread) {
+			defer func() {
+				if r := recover(); r != nil {
+					fail("owner panicked at iteration %d: %v", iters, r)
+					panic(r)
+				}
+			}()
+			rng := rand.New(rand.NewSource(1))
+			deadline := time.Now().Add(budget)
+			for i := 0; time.Now().Before(deadline) && bad.Load() == nil; i++ {
+				iters = i
+				a, b, c := core.NewExternal(rt), core.NewExternal(rt), core.NewExternal(rt)
+				feeds[0] <- job{a, tagged{i, "a"}, rng.Intn(3)}
+				feeds[1] <- job{b, tagged{i, "b"}, rng.Intn(3)}
+				v, err := core.Sync(x, core.Choice(a.Evt(), never.WaitEvt(), b.Evt()))
+				if err != nil {
+					fail("choice: %v", err)
+					return
+				}
+				if got, ok := v.(tagged); !ok || got.iter != i || (got.tag != "a" && got.tag != "b") {
+					fail("iteration %d: choice returned %#v", i, v)
+					return
+				}
+				feeds[2] <- job{c, tagged{i, "c"}, rng.Intn(3)}
+				v, err = core.Sync(x, c.Evt())
+				if err != nil {
+					fail("one-case sync: %v", err)
+					return
+				}
+				if got := (tagged{i, "c"}); v != got {
+					fail("iteration %d: one-case sync on c returned %#v", i, v)
+					return
+				}
+			}
+		})
+		_, _ = core.Sync(th, owner.DoneEvt())
+	})
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if msg := bad.Load(); msg != nil {
+		t.Fatal(msg)
+	}
+	t.Logf("%d iterations", iters)
 }

@@ -292,26 +292,6 @@ func commitPair(a *syncOp, aIdx int, av Value, b *syncOp, bIdx int, bv Value) {
 	bth.wake()
 }
 
-// commitReady is the single-party commit used by "became ready" event
-// sources (thread done, nack fired, cell completed). It is a no-op unless
-// the op is still undecided and its thread currently allowed to commit; a
-// suspended thread's registration is skipped (the resume path re-polls,
-// and level-triggered sources stay ready). The caller passes op and idx
-// it snapshotted under the owning event's lock — not the waiter, whose
-// fields the owner may already be recycling. Returns true if the commit
-// landed.
-func commitReady(op *syncOp, idx int, v Value) bool {
-	if !op.claim() {
-		return false
-	}
-	if !op.th.matchable.Load() {
-		op.unclaim()
-		return false
-	}
-	finalizeCommit(op, idx, v)
-	return true
-}
-
 // losingNacks snapshots the nack signals that a commit of case idx must
 // fire (those not covering idx). Called while the op is claimed, before
 // the commit is published, so reading op.cases and op.nacks is safe.

@@ -290,6 +290,13 @@ func (s *Server) serveConn(th *core.Thread, cs *connState) (clean bool) {
 	timeoutEvt := core.Wrap(core.After(s.rt, s.cfg.IdleTimeout), func(core.Value) core.Value { return "timeout" })
 	drainEvt := core.Wrap(s.drain.Evt(), func(core.Value) core.Value { return "drain" })
 	waitChoice := core.Choice(recvEvt, timeoutEvt, drainEvt)
+	// A connection accepted before a drain began is owed its first
+	// request: the client sent it with no way to know of the drain, and
+	// its bytes may still be in flight when the signal lands. Until that
+	// request is served the session waits without the drain arm — still
+	// bounded by the idle timeout, and at Shutdown by the grace window's
+	// custodian kill — and answers it with Connection: close.
+	firstChoice := core.Choice(recvEvt, timeoutEvt)
 
 	var buf, batch []byte
 	// Return session-owned buffers to the shared pool on the way out.
@@ -392,7 +399,11 @@ func (s *Server) serveConn(th *core.Thread, cs *connState) (clean bool) {
 		}
 
 		// Park for more input (or idle timeout, or drain).
-		v, serr := core.Sync(th, waitChoice)
+		choice := waitChoice
+		if !served {
+			choice = firstChoice
+		}
+		v, serr := core.Sync(th, choice)
 		if serr != nil {
 			continue // stray break
 		}

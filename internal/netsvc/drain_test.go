@@ -1,6 +1,7 @@
 package netsvc_test
 
 import (
+	"bufio"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -36,7 +37,8 @@ func rawGet(addr, target string) (string, error) {
 // Adaptive admission end to end: a storm of slow requests on a one-slot
 // server pushes queue sojourn past the target; normal traffic gets paced
 // 503s with Retry-After, bulk is shed outright, and admin requests ride
-// through the whole storm unshedded.
+// through the whole storm unshedded — the priority fences of an overload
+// far beyond capacity: zero admin 503s, bulk shedding engaged.
 func TestAdmissionShedsUnderOverload(t *testing.T) {
 	withRuntime(t, func(rt *core.Runtime, th *core.Thread) {
 		ws := web.NewServer(th)
@@ -55,7 +57,7 @@ func TestAdmissionShedsUnderOverload(t *testing.T) {
 		}
 		addr := s.Addr().String()
 
-		var ok200, shed503, other atomic.Int64
+		var ok200, shed503, bulk503, other atomic.Int64
 		var sawRetryAfter atomic.Bool
 		var wg sync.WaitGroup
 		for w := 0; w < 20; w++ {
@@ -75,6 +77,9 @@ func TestAdmissionShedsUnderOverload(t *testing.T) {
 						ok200.Add(1)
 					case strings.Contains(raw, " 503 "):
 						shed503.Add(1)
+						if strings.HasSuffix(target, "bulk") {
+							bulk503.Add(1)
+						}
 						if strings.Contains(raw, "Retry-After:") {
 							sawRetryAfter.Store(true)
 						}
@@ -85,25 +90,36 @@ func TestAdmissionShedsUnderOverload(t *testing.T) {
 			}(target)
 		}
 
-		// Admin requests issued mid-storm must never be shed: they queue
-		// like everyone else but admission always admits the class.
+		// Admin requests issued throughout the storm must never be shed:
+		// they queue like everyone else but admission always admits the
+		// class.
+		stormDone := make(chan struct{})
 		adminDone := make(chan error, 1)
+		var admins int
 		go func() {
-			for i := 0; i < 5; i++ {
+			for admins = 0; ; admins++ {
+				select {
+				case <-stormDone:
+					if admins >= 5 {
+						adminDone <- nil
+						return
+					}
+				default:
+				}
 				raw, err := rawGet(addr, "/debug/killsafe/stats")
 				if err != nil {
-					adminDone <- fmt.Errorf("admin get %d: %v", i, err)
+					adminDone <- fmt.Errorf("admin get %d: %v", admins, err)
 					return
 				}
 				if !strings.Contains(raw, " 200 ") && !strings.Contains(raw, " 200\r\n") {
-					adminDone <- fmt.Errorf("admin get %d not 200: %.80q", i, raw)
+					adminDone <- fmt.Errorf("admin get %d not 200: %.80q", admins, raw)
 					return
 				}
 			}
-			adminDone <- nil
 		}()
 
 		wg.Wait()
+		close(stormDone)
 		if err := <-adminDone; err != nil {
 			t.Fatal(err)
 		}
@@ -112,8 +128,8 @@ func TestAdmissionShedsUnderOverload(t *testing.T) {
 		if stats.AdmShed == 0 {
 			t.Fatalf("admission never shed under a 20-worker storm: %+v", stats)
 		}
-		if stats.AdmShedBulk == 0 {
-			t.Fatalf("no bulk request was shed: %+v", stats)
+		if stats.AdmShedBulk == 0 || bulk503.Load() == 0 {
+			t.Fatalf("no bulk request was shed (clients saw %d): %+v", bulk503.Load(), stats)
 		}
 		if shed503.Load() == 0 || !sawRetryAfter.Load() {
 			t.Fatalf("clients saw %d shed responses (retry-after seen: %v), want >0 with Retry-After",
@@ -122,8 +138,8 @@ func TestAdmissionShedsUnderOverload(t *testing.T) {
 		if ok200.Load() == 0 {
 			t.Fatal("no request succeeded: admission shed everything")
 		}
-		if stats.ReqAdmin < 5 {
-			t.Fatalf("admin class count = %d, want >= 5", stats.ReqAdmin)
+		if stats.ReqAdmin < int64(admins) {
+			t.Fatalf("admin class count = %d, want >= %d", stats.ReqAdmin, admins)
 		}
 		if err := s.Shutdown(th, time.Second); err != nil {
 			t.Fatalf("Shutdown: %v", err)
@@ -131,78 +147,145 @@ func TestAdmissionShedsUnderOverload(t *testing.T) {
 	})
 }
 
-// DrainShard under live traffic: the shard's runtime is replaced, no
-// request fails, nothing is killed, and the fleet keeps serving.
+// DrainShard under live traffic, every shard in turn — a rolling restart
+// nobody may notice. Keep-alive clients and fresh-connection clients load
+// the fleet while each shard's runtime is replaced. Oracles: every drain
+// returns nil and replaces the runtime, no session is killed, every
+// response frame is whole and correct, a fresh connection's request never
+// fails, and a keep-alive connection ends only on a frame boundary — a
+// clean close, or a whole 503 with Connection: close — after which the
+// client redials.
 func TestDrainShardUnderLoad(t *testing.T) {
+	const shards = 2
 	base := runtime.NumGoroutine()
-	m, err := netsvc.ServeSharded(netsvc.Config{Shards: 2}, shardSetup)
+	m, err := netsvc.ServeSharded(netsvc.Config{Shards: shards}, shardSetup)
 	if err != nil {
 		t.Fatalf("ServeSharded: %v", err)
 	}
 	addr := m.Addr().String()
 
 	stop := make(chan struct{})
-	var loadErrs atomic.Int64
-	var served atomic.Int64
+	progress := make(chan struct{}, 1)
+	var served, refused, loadErrs atomic.Int64
+	var firstErr atomic.Value
+	fail := func(format string, args ...any) {
+		loadErrs.Add(1)
+		firstErr.CompareAndSwap(nil, fmt.Sprintf(format, args...))
+	}
+	ok := func(status, body string) bool {
+		var shard int
+		_, err := fmt.Sscanf(body, "pong from shard %d\n", &shard)
+		return strings.Contains(status, " 200 ") && err == nil && body == fmt.Sprintf("pong from shard %d\n", shard)
+	}
+	tick := func() {
+		served.Add(1)
+		select {
+		case progress <- struct{}{}:
+		default:
+		}
+	}
 	var wg sync.WaitGroup
-	for w := 0; w < 4; w++ {
+	for w := 0; w < 6; w++ {
 		wg.Add(1)
-		go func() {
+		go func(keepAlive bool) {
 			defer wg.Done()
+			var c net.Conn
+			var r *bufio.Reader
 			for {
 				select {
 				case <-stop:
+					if c != nil {
+						c.Close()
+					}
 					return
 				default:
 				}
-				status, _, err := get(addr, "/ping")
-				if err != nil || !strings.Contains(status, "200") {
-					loadErrs.Add(1)
+				if !keepAlive {
+					if status, body, err := get(addr, "/ping"); err != nil || !ok(status, body) {
+						fail("fresh connection: %q %q %v", status, body, err)
+					} else {
+						tick()
+					}
 					continue
 				}
-				served.Add(1)
+				if c == nil {
+					var err error
+					if c, err = net.Dial("tcp", addr); err != nil {
+						fail("dial: %v", err)
+						continue
+					}
+					_ = c.SetDeadline(time.Now().Add(10 * time.Second))
+					r = bufio.NewReader(c)
+				}
+				_, _ = fmt.Fprint(c, "GET /ping HTTP/1.1\r\n\r\n")
+				status, body, err := "", "", error(nil)
+				if _, err = r.Peek(1); err == nil {
+					status, body, err = readResponse(r)
+				} else {
+					status = "closed" // clean close on a frame boundary
+				}
+				switch {
+				case status == "closed", strings.Contains(status, " 503 ") && err == nil:
+					if status != "closed" {
+						refused.Add(1)
+					}
+					c.Close()
+					c = nil
+				case err != nil || !ok(status, body):
+					fail("keep-alive: torn or wrong frame %q %q %v", status, body, err)
+					c.Close()
+					c = nil
+				default:
+					tick()
+				}
 			}
-		}()
+		}(w%3 != 0)
 	}
-	// Let the load establish, then drain shard 0 under it.
-	for served.Load() < 20 {
-		time.Sleep(time.Millisecond)
+	awaitProgress := func(n int) {
+		for i := 0; i < n; i++ {
+			select {
+			case <-progress:
+			case <-time.After(10 * time.Second):
+				close(stop)
+				t.Fatalf("fleet stopped serving (served %d)", served.Load())
+			}
+		}
 	}
-	rt0 := m.Runtime(0)
-	if err := m.DrainShard(0, 2*time.Second); err != nil {
-		t.Fatalf("DrainShard: %v", err)
+	for i := 0; i < shards; i++ {
+		awaitProgress(20)
+		rt := m.Runtime(i)
+		if err := m.DrainShard(i, 2*time.Second); err != nil {
+			t.Fatalf("DrainShard(%d): %v", i, err)
+		}
+		if m.Runtime(i) == rt {
+			t.Fatalf("DrainShard(%d) did not replace the shard's runtime", i)
+		}
 	}
-	if m.Runtime(0) == rt0 {
-		t.Fatal("DrainShard did not replace the shard's runtime")
-	}
-	// The replacement engine serves.
-	before := served.Load()
-	for served.Load() < before+20 {
-		time.Sleep(time.Millisecond)
-	}
+	awaitProgress(20) // the replacement engines serve
 	close(stop)
 	wg.Wait()
 
 	stats := m.Stats()
-	if loadErrs.Load() != 0 {
-		t.Fatalf("%d requests failed across the drain (stats %+v)", loadErrs.Load(), stats)
+	if n := loadErrs.Load(); n != 0 {
+		t.Fatalf("%d requests failed across the drains, first: %v (stats %+v)", n, firstErr.Load(), stats)
 	}
-	if stats.ShardsDrained != 1 {
-		t.Fatalf("ShardsDrained = %d, want 1", stats.ShardsDrained)
+	if stats.ShardsDrained != shards {
+		t.Fatalf("ShardsDrained = %d, want %d", stats.ShardsDrained, shards)
 	}
 	if stats.Killed != 0 {
-		t.Fatalf("drain killed %d sessions, want 0", stats.Killed)
+		t.Fatalf("drains killed %d sessions, want 0", stats.Killed)
 	}
-	// Served-work accounting survived the handoff: the folded totals
-	// include everything the retired engine served.
+	// Served-work accounting survived the handoffs: the folded totals
+	// include everything the retired engines served.
 	if stats.Responses < served.Load() {
 		t.Fatalf("aggregate responses %d < client-observed %d: retired counters lost",
 			stats.Responses, served.Load())
 	}
+	t.Logf("served %d, keep-alive requests refused by a draining shard %d", served.Load(), refused.Load())
 	if err := m.Shutdown(time.Second); err != nil {
 		t.Fatalf("Shutdown: %v", err)
 	}
-	waitGoroutines(t, base, "after drain + shutdown")
+	waitGoroutines(t, base, "after drains + shutdown")
 }
 
 // Repeated drains of the same shard: each replaces the previous

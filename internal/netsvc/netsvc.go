@@ -200,6 +200,7 @@ type Server struct {
 	quit     chan struct{}       // closed by custodian shutdown; unblocks the pump's handoff
 	drain    *core.External      // completed when Shutdown begins
 	migrate  *core.External      // completed by DrainShard: the acceptor rehomes instead of serving
+	migrated chan struct{}       // cap 1: the migrating acceptor's "queue empty" kick to DrainShard
 	rehome   func(net.Conn) bool // sharded: move a queued conn to a healthy sibling shard
 	pumpRet  *core.External      // completed when the accept pump exits
 
@@ -301,6 +302,7 @@ func serveOn(th *core.Thread, ws *web.Server, cfg Config, ln net.Listener) (*Ser
 		reap:    core.NewSemaphore(rt, 0),
 		conns:   make(map[int64]*connState),
 	}
+	s.migrated = make(chan struct{}, 1)
 	s.newCodec = codec
 	s.protoName = codec().Name()
 	if cfg.AdmitTarget > 0 {
@@ -489,6 +491,12 @@ func (s *Server) acceptLoop(th *core.Thread) {
 		choice := connChoice
 		if migrating {
 			choice = migConnChoice
+			if s.pendingN.Load() == 0 {
+				select {
+				case s.migrated <- struct{}{}:
+				default: // a kick is already waiting; DrainShard re-checks the count
+				}
+			}
 		}
 		v, err := core.Sync(th, choice)
 		if err != nil {
@@ -535,8 +543,12 @@ func (s *Server) acceptLoop(th *core.Thread) {
 // which registers it with its own custodian before this shard lets go,
 // so the fd is never uncontrolled. With no sibling available (fleet
 // going down, or a single-shard fleet) the conn is refused.
+//
+// The pending count drops only once the hand-off is over, so a DrainShard
+// waiting for an empty queue also waits out a rehome still submitting to
+// the sibling.
 func (s *Server) rehomeConn(c net.Conn) {
-	s.pendingN.Add(-1)
+	defer s.pendingN.Add(-1)
 	if s.rehome != nil && s.rehome(c) {
 		s.cust.Unregister(c)
 		s.stats.migrated.Add(1)

@@ -61,6 +61,12 @@ type shard struct {
 	draining atomic.Bool // drain in progress: the assigner routes around it
 	retired  atomic.Bool // engine reaped with no replacement; skip everywhere
 
+	// gate is the drain handshake with the accept pump: the pump holds
+	// it shared from its draining check to the end of its submit, and
+	// DrainShard takes it exclusively once after raising draining, which
+	// waits out any submit already past the check (see DrainShard).
+	gate sync.RWMutex
+
 	// srvP is the current serving engine, read lock-free on the accept
 	// hot path and swapped by startShard.
 	srvP atomic.Pointer[Server]
@@ -179,9 +185,37 @@ func (m *ShardedServer) acceptPump() {
 		if err != nil {
 			return // listener closed (Shutdown)
 		}
-		srv := m.pick().server()
-		srv.stats.accepted.Add(1)
-		srv.submit(c)
+		m.dispatch(c)
+	}
+}
+
+// dispatch hands one accepted conn to a healthy shard. The draining check
+// and the submit run under the shard's gate, so a shard seen healthy here
+// cannot finish its drain handshake until the conn is in its queue (where
+// the drain rehomes it); a shard whose drain began after pick backs out
+// and the conn is re-picked. With no healthy shard at all — a single-shard
+// fleet mid-handoff — the conn is refused at the fleet level, booked with
+// the retired engines' counters since no live engine saw it.
+func (m *ShardedServer) dispatch(c net.Conn) {
+	for {
+		sh := m.pick()
+		if sh == nil {
+			_ = c.Close()
+			m.mu.Lock()
+			m.retired.Accepted++
+			m.retired.Rejected++
+			m.mu.Unlock()
+			return
+		}
+		sh.gate.RLock()
+		if !sh.draining.Load() {
+			srv := sh.server()
+			srv.stats.accepted.Add(1)
+			srv.submit(c)
+			sh.gate.RUnlock()
+			return
+		}
+		sh.gate.RUnlock()
 	}
 }
 
@@ -192,9 +226,8 @@ func (m *ShardedServer) acceptPump() {
 // is load-aware, not just the draining flag: pending-queue depth is
 // over-weighted (see assignScore), so a shard whose acceptor has fallen
 // behind sheds new-conn assignment to its siblings while it catches up.
-// A draining shard is routed around entirely; if every shard is draining
-// (a single-shard fleet mid-handoff) the cursor is used anyway and the
-// engine's own refusal path answers.
+// A draining shard is routed around entirely; pick returns nil if every
+// shard is draining (a single-shard fleet mid-handoff).
 func (m *ShardedServer) pick() *shard {
 	n := uint64(len(m.shards))
 	cursor := m.shards[m.next.Add(1)%n]
@@ -210,9 +243,6 @@ func (m *ShardedServer) pick() *shard {
 		if l := sh.server().assignScore(); best == nil || l < bestScore {
 			best, bestScore = sh, l
 		}
-	}
-	if best == nil {
-		return cursor
 	}
 	return best
 }
@@ -347,24 +377,32 @@ func (m *ShardedServer) DrainShard(i int, grace time.Duration) error {
 	old := sh.server()
 	sh.draining.Store(true)
 	old.migrate.Complete(core.Unit{})
-	// Wait for the acceptor to rehome its queued accept share. The
-	// pending count can rise only from a pump thread that picked this
-	// shard just before the draining flag was set; requiring it to hold
-	// zero across a settle window closes that window.
-	for {
-		if m.isDown() {
-			// Fleet Shutdown has begun: leave the engine to its teardown
-			// (it reaps every non-retired shard after taking opMu).
+	// Handshake with the accept pump. The pump checks draining under the
+	// gate's read lock and submits before releasing it; this exclusive
+	// acquire therefore returns only after every submit that saw the
+	// shard healthy has queued its conn, and any later check (ordered
+	// after the Unlock) sees draining and re-picks. From here on the
+	// pending count can only fall. A submit held up by accept
+	// backpressure keeps the gate meanwhile; the migrating acceptor,
+	// already woken above, is what empties the queue it waits on. Sibling
+	// rehomes need no gate: drains serialize on opMu, so no sibling is
+	// draining now.
+	sh.gate.Lock()
+	sh.gate.Unlock()
+	// Wait for the acceptor to rehome its queue. It kicks migrated each
+	// time it sees the count at zero while migrating; a kick from before
+	// the handshake is stale, hence the re-check. The pump's exit (fleet
+	// Shutdown closed the listener) ends the wait: leave the engine to
+	// the teardown, which reaps every non-retired shard after taking opMu.
+	for old.pendingN.Load() != 0 {
+		select {
+		case <-old.migrated:
+		case <-m.pumpDone:
 			return ErrServerDown
 		}
-		if old.pendingN.Load() == 0 {
-			time.Sleep(2 * time.Millisecond)
-			if old.pendingN.Load() == 0 {
-				break
-			}
-			continue
-		}
-		time.Sleep(500 * time.Microsecond)
+	}
+	if m.isDown() {
+		return ErrServerDown
 	}
 	// Order the graceful shutdown through the shard's main thread — the
 	// same custodian-tree path a fleet Shutdown uses — and reap the old
