@@ -15,20 +15,22 @@
 //	curl http://127.0.0.1:8080/slow?ms=30000 &     # a long-running session
 //	curl http://127.0.0.1:8080/admin/sessions      # find its ID
 //	curl "http://127.0.0.1:8080/admin/kill?id=N"   # kill it mid-request
-//	curl http://127.0.0.1:8080/debug/stats         # killed counter ticks
-//	curl http://127.0.0.1:8080/debug/killsafe/stats # runtime metrics + per-shard breakdown
+//	curl http://127.0.0.1:8080/debug/killsafe/stats # "serving": killed ticks
 //
-// With -admin HOST:PORT the /debug/killsafe/* documents (plus expvar's
-// /debug/vars) are also served out-of-band on a separate plain HTTP
-// listener, reachable even when every serving slot is busy; with
+// The stats document (/debug/killsafe/stats) is the one stats surface:
+// serving counters and runtime metrics, fleet totals plus a per-shard
+// breakdown. With -admin HOST:PORT the /debug/killsafe/* routes are also
+// served out-of-band on a separate plain HTTP listener, reachable even
+// when every serving slot is busy, and its /debug/vars shows the same
+// stats document as the one expvar variable "killsafe"; with
 // -flight-recorder N each shard keeps its last N scheduler decisions,
 // dumpable at /debug/killsafe/trace in the explore replay format.
 //
-// With -shards N the server runs N independent runtimes behind one
-// listener (netsvc.ServeSharded): each shard is a whole VM with its own
-// custodian tree and servlet instance, so /admin/kill reaches only the
-// sessions of the shard that serves the request, and /debug/stats
-// reports the fleet-wide aggregate from any shard.
+// The server is always a sharded fleet behind one listener;
+// -shards N (default 1) sets its size. Each shard is a whole VM with its
+// own custodian tree and servlet instance, so /admin/kill reaches only
+// the sessions of the shard that serves the request, while the stats
+// document reports the whole fleet from any shard.
 //
 // With -protocol resp the listener speaks RESP instead of HTTP/1.1:
 // GET/SET/DEL/STATS map onto the transactional KV store mounted at /kv
@@ -48,6 +50,7 @@
 package main
 
 import (
+	"encoding/json"
 	"expvar"
 	"flag"
 	"fmt"
@@ -64,13 +67,12 @@ import (
 	"repro/abstractions/kvtxn"
 	"repro/internal/core"
 	"repro/internal/netsvc"
-	"repro/internal/obs"
 	"repro/internal/web"
 )
 
 // buildRoutes registers the demo routes on ws. It is called once per
-// runtime: in sharded mode each shard gets its own web.Server instance
-// and its own route closures, bound to that shard's runtime. The KV
+// shard: each shard gets its own web.Server instance and its own route
+// closures, bound to that shard's runtime. The KV
 // gateway is shared: every shard mounts the same gw, so /kv reads and
 // writes hit one transactional store regardless of which shard (or
 // which protocol) carried the request.
@@ -92,8 +94,7 @@ func buildRoutes(rt *core.Runtime, ws *web.Server, shard, shards int, gw *kvtxn.
 			"  /kv?key=K            transactional KV store (PUT/DELETE too; shared across shards)",
 			"  /kv/multi?ops=...    atomic batch (w:k:v,r:k,d:k)",
 			"  /kv/stats            store commit/abort counters",
-			"  /debug/stats         serving counters (fleet-wide aggregate)",
-			"  /debug/killsafe/stats      runtime metrics, per-shard breakdown",
+			"  /debug/killsafe/stats      serving counters and runtime metrics, fleet totals + per shard",
 			"  /debug/killsafe/custodians live custodian trees",
 			"  /debug/killsafe/trace      flight-recorder dump (?shard=N)",
 			"",
@@ -146,7 +147,7 @@ func buildRoutes(rt *core.Runtime, ws *web.Server, shard, shards int, gw *kvtxn.
 	})
 	ws.Handle("/admin/drain", func(_ *core.Thread, _ *web.Session, req *web.Request) web.Response {
 		m := fleet.Load()
-		if m == nil {
+		if m == nil || m.NumShards() < 2 {
 			return web.Response{Status: 400, Body: "live drain requires -shards > 1\n"}
 		}
 		n, err := strconv.Atoi(req.Query["shard"])
@@ -186,7 +187,7 @@ func main() {
 		MaxPending:     *maxPending,
 		IdleTimeout:    *idle,
 		RequestTimeout: *reqTimeout,
-		Shards:         *shards,
+		Shards:         max(*shards, 1),
 		FlightRecorder: *recorder,
 		Protocol:       *protocol,
 		AdmitTarget:    *admitTarget,
@@ -200,36 +201,70 @@ func main() {
 	sigc := make(chan os.Signal, 1)
 	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
 
-	// startAdmin serves the observability surface on a separate plain
-	// net/http listener: the same /debug/killsafe/* documents the in-band
-	// routes answer, plus expvar's /debug/vars. Out-of-band on purpose —
-	// it stays reachable even with every serving slot wedged.
-	startAdmin := func(s *netsvc.Server) {
-		if *admin == "" {
-			return
-		}
-		s.PublishExpvar("killsafe")
-		mux := http.NewServeMux()
-		mux.HandleFunc("/debug/killsafe/stats", func(w http.ResponseWriter, _ *http.Request) {
-			fmt.Fprintln(w, s.AdminStatsJSON())
-		})
-		mux.HandleFunc("/debug/killsafe/custodians", func(w http.ResponseWriter, _ *http.Request) {
-			fmt.Fprintln(w, s.AdminCustodiansJSON())
-		})
-		mux.HandleFunc("/debug/killsafe/trace", func(w http.ResponseWriter, r *http.Request) {
-			shard := -1
-			if v := r.URL.Query().Get("shard"); v != "" {
-				if n, err := strconv.Atoi(v); err == nil {
-					shard = n
+	// The store lives on its own runtime, outside the serving shards: a
+	// shard drain retires the shard's whole runtime, and the store must
+	// outlive whichever engine happens to carry its requests.
+	storeRt := core.NewRuntime()
+	storeStop := core.NewExternal(storeRt)
+	storeReady := make(chan struct{})
+	storeDone := make(chan struct{})
+	go func() {
+		defer close(storeDone)
+		_ = storeRt.Run(func(th *core.Thread) {
+			gw.Bind(th, kvtxn.NewWith(th, kvtxn.Options{
+				Strategy: kvtxn.Locking,
+				Shards:   8,
+				LockWait: 50 * time.Millisecond,
+			}))
+			close(storeReady)
+			for {
+				if _, err := core.Sync(th, storeStop.Evt()); err == nil {
+					return
 				}
 			}
-			text, ok := s.AdminTraceText(shard)
+		})
+	}()
+	<-storeReady
+
+	var fleet atomic.Pointer[netsvc.ShardedServer]
+	m, err := netsvc.ServeSharded(cfg, func(th *core.Thread, shard int) *web.Server {
+		ws := web.NewServer(th)
+		buildRoutes(th.Runtime(), ws, shard, cfg.Shards, gw, &fleet, *grace)
+		return ws
+	})
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "killserve: %v\n", err)
+		os.Exit(1)
+	}
+	fleet.Store(m)
+	fmt.Printf("killserve: listening on %s://%s (shards=%d, max-conns=%d/shard, idle-timeout=%s)\n",
+		*protocol, m.Addr(), m.NumShards(), *maxConns, *idle)
+
+	// The out-of-band admin surface: a plain net/http listener, reachable
+	// even with every serving slot wedged. One handler hands every
+	// /debug/killsafe/* path to the same dispatcher the in-band routes
+	// use, and expvar's one "killsafe" variable renders the same stats
+	// document. Shard 0 answers for the fleet; Shard is re-read per
+	// request, so the answers follow drains.
+	if *admin != "" {
+		mux := http.NewServeMux()
+		mux.HandleFunc("/debug/killsafe/", func(w http.ResponseWriter, r *http.Request) {
+			query := map[string]string{}
+			for k, v := range r.URL.Query() {
+				query[k] = v[0]
+			}
+			status, body, ok := m.Shard(0).Admin(r.URL.Path, query)
 			if !ok {
-				http.Error(w, "flight recorder not enabled (run with -flight-recorder N)", http.StatusNotFound)
+				http.NotFound(w, r)
 				return
 			}
-			fmt.Fprint(w, text)
+			w.WriteHeader(status)
+			fmt.Fprint(w, body)
 		})
+		expvar.Publish("killsafe", expvar.Func(func() any {
+			_, body, _ := m.Shard(0).Admin("/debug/killsafe/stats", nil)
+			return json.RawMessage(body)
+		}))
 		mux.Handle("/debug/vars", expvar.Handler())
 		go func() {
 			if err := http.ListenAndServe(*admin, mux); err != nil {
@@ -239,123 +274,34 @@ func main() {
 		fmt.Printf("killserve: admin surface on http://%s/debug/killsafe/stats\n", *admin)
 	}
 
-	if *shards > 1 {
-		var fleet atomic.Pointer[netsvc.ShardedServer]
-		// The store lives on its own runtime, outside the serving shards:
-		// a shard drain retires the shard's whole runtime, and the store
-		// must outlive whichever engine happens to carry its requests.
-		storeRt := core.NewRuntime()
-		storeStop := core.NewExternal(storeRt)
-		storeReady := make(chan struct{})
-		storeDone := make(chan struct{})
+	if *drainEvery > 0 && m.NumShards() > 1 {
 		go func() {
-			defer close(storeDone)
-			_ = storeRt.Run(func(th *core.Thread) {
-				gw.Bind(th, kvtxn.NewWith(th, kvtxn.Options{
-					Strategy: kvtxn.Locking,
-					Shards:   8,
-					LockWait: 50 * time.Millisecond,
-				}))
-				close(storeReady)
-				for {
-					if _, err := core.Sync(th, storeStop.Evt()); err == nil {
-						return
-					}
+			for i := 0; ; i++ {
+				time.Sleep(*drainEvery)
+				if err := m.DrainShard(i%m.NumShards(), *grace); err != nil {
+					return // fleet shutting down
 				}
-			})
+			}
 		}()
-		<-storeReady
-		m, err := netsvc.ServeSharded(cfg, func(th *core.Thread, shard int) *web.Server {
-			ws := web.NewServer(th)
-			buildRoutes(th.Runtime(), ws, shard, *shards, gw, &fleet, *grace)
-			return ws
-		})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "killserve: %v\n", err)
-			os.Exit(1)
-		}
-		fleet.Store(m)
-		fmt.Printf("killserve: listening on %s://%s (shards=%d, max-conns=%d/shard, idle-timeout=%s)\n",
-			*protocol, m.Addr(), *shards, *maxConns, *idle)
-		startAdmin(m.Shard(0))
-		// The fleet aggregate (admission gauges, drain counters included)
-		// as one expvar document; the publisher re-reads through m on
-		// every render, so it tracks engines across drains.
-		obs.PublishExpvarFunc("killsafe.serving", func() any { return m.Stats() })
-		if *drainEvery > 0 {
-			go func() {
-				for i := 0; ; i++ {
-					time.Sleep(*drainEvery)
-					if err := m.DrainShard(i%*shards, *grace); err != nil {
-						return // fleet shutting down
-					}
-				}
-			}()
-			fmt.Printf("killserve: rolling drain every %s across %d shards\n", *drainEvery, *shards)
-		}
-		v := <-sigc
-		fmt.Printf("killserve: received %v, draining %d shards (grace %s)...\n", v, *shards, *grace)
-		if err := m.Shutdown(*grace); err != nil {
-			fmt.Fprintf(os.Stderr, "killserve: shutdown: %v\n", err)
-		}
-		storeStop.Complete(core.Unit{})
-		<-storeDone
-		storeRt.Shutdown()
-		// The counters are plain atomics on each shard's Server, so the
-		// per-shard breakdown stays readable after the runtimes are down —
-		// and includes the sessions the drain itself had to kill.
-		perShard := m.ShardStats()
-		st := m.Stats()
-		fmt.Printf("killserve: done — accepted=%d drained=%d killed=%d timed_out=%d rejected=%d shed=%d adm_shed=%d migrated=%d shards_drained=%d deadlined=%d restarts=%d\n",
-			st.Accepted, st.Drained, st.Killed, st.TimedOut, st.Rejected, st.Shed, st.AdmShed, st.Migrated, st.ShardsDrained, st.Deadlined, st.Restarts)
-		for i, ss := range perShard {
-			fmt.Printf("killserve:   shard %d — accepted=%d drained=%d killed=%d timed_out=%d rejected=%d shed=%d deadlined=%d restarts=%d\n",
-				i, ss.Accepted, ss.Drained, ss.Killed, ss.TimedOut, ss.Rejected, ss.Shed, ss.Deadlined, ss.Restarts)
-		}
-		return
+		fmt.Printf("killserve: rolling drain every %s across %d shards\n", *drainEvery, m.NumShards())
 	}
-
-	rt := core.NewRuntime()
-	defer rt.Shutdown()
-	err := rt.Run(func(th *core.Thread) {
-		gw.Bind(th, kvtxn.NewWith(th, kvtxn.Options{
-			Strategy: kvtxn.Locking,
-			Shards:   8,
-			LockWait: 50 * time.Millisecond,
-		}))
-		ws := web.NewServer(th)
-		var noFleet atomic.Pointer[netsvc.ShardedServer] // stays nil: no live drain unsharded
-		buildRoutes(rt, ws, 0, 1, gw, &noFleet, *grace)
-
-		s, err := netsvc.Serve(th, ws, cfg)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "killserve: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("killserve: listening on %s://%s (max-conns=%d, idle-timeout=%s)\n",
-			*protocol, s.Addr(), *maxConns, *idle)
-		startAdmin(s)
-
-		// Bridge SIGINT/SIGTERM into the event layer: a plain goroutine
-		// waits on the signal channel and completes an External cell; the
-		// main runtime thread syncs on it at a safe point.
-		sig := core.NewExternal(rt)
-		go func() { v := <-sigc; sig.Complete(v.String()) }()
-
-		v, serr := core.Sync(th, sig.Evt())
-		for serr != nil {
-			v, serr = core.Sync(th, sig.Evt())
-		}
-		fmt.Printf("killserve: received %v, draining (grace %s)...\n", v, *grace)
-		if err := s.Shutdown(th, *grace); err != nil {
-			fmt.Fprintf(os.Stderr, "killserve: shutdown: %v\n", err)
-		}
-		st := s.Stats()
-		fmt.Printf("killserve: done — accepted=%d drained=%d killed=%d timed_out=%d rejected=%d shed=%d deadlined=%d restarts=%d\n",
-			st.Accepted, st.Drained, st.Killed, st.TimedOut, st.Rejected, st.Shed, st.Deadlined, st.Restarts)
-	})
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "killserve: %v\n", err)
-		os.Exit(1)
+	v := <-sigc
+	fmt.Printf("killserve: received %v, draining %d shards (grace %s)...\n", v, m.NumShards(), *grace)
+	if err := m.Shutdown(*grace); err != nil {
+		fmt.Fprintf(os.Stderr, "killserve: shutdown: %v\n", err)
+	}
+	storeStop.Complete(core.Unit{})
+	<-storeDone
+	storeRt.Shutdown()
+	// The counters are plain atomics on each shard's Server, so the
+	// per-shard breakdown stays readable after the runtimes are down —
+	// and includes the sessions the drain itself had to kill.
+	st := m.Stats()
+	fmt.Printf("killserve: done — accepted=%d drained=%d killed=%d timed_out=%d rejected=%d shed=%d adm_shed=%d migrated=%d shards_drained=%d deadlined=%d restarts=%d\n",
+		st.Accepted, st.Drained, st.Killed, st.TimedOut, st.Rejected, st.Shed, st.AdmShed, st.Migrated, st.ShardsDrained, st.Deadlined, st.Restarts)
+	for i := 0; i < m.NumShards(); i++ {
+		ss := m.Shard(i).Stats()
+		fmt.Printf("killserve:   shard %d — accepted=%d drained=%d killed=%d timed_out=%d rejected=%d shed=%d deadlined=%d restarts=%d\n",
+			i, ss.Accepted, ss.Drained, ss.Killed, ss.TimedOut, ss.Rejected, ss.Shed, ss.Deadlined, ss.Restarts)
 	}
 }

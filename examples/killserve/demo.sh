@@ -7,7 +7,8 @@
 #   2. park a long request on /slow (it holds its connection open)
 #   3. list live sessions via /admin/sessions and pick the parked one
 #   4. /admin/kill it — its curl dies with a closed connection,
-#      the server keeps serving, and /debug/stats counts the kill
+#      the server keeps serving, and the stats document's "serving"
+#      object (/debug/killsafe/stats) counts the kill
 #   5. SIGINT the server: graceful drain, final counters on stdout
 set -eu
 
@@ -56,8 +57,8 @@ fi
 echo "==> the server is unharmed"
 curl -s "$BASE/hello?name=survivor"
 
-echo "==> serving counters"
-curl -s "$BASE/debug/stats"; echo
+echo "==> serving counters (the fleet totals of /debug/killsafe/stats)"
+curl -s "$BASE/debug/killsafe/stats" | awk '/"serving"/ { p = 1 } p { print } p && /}/ { exit }'
 
 echo "==> graceful shutdown (SIGINT)"
 kill -INT $SERVER

@@ -111,7 +111,6 @@ func (c *Custodian) shutdownLocked(closers []io.Closer) []io.Closer {
 		return closers
 	}
 	c.dead = true
-	c.rt.traceBufLocked(TraceShutdown, nil, "custodian")
 	if h := c.rt.hook(); h != nil {
 		h.CustodianShutdown(c.id, len(c.threads))
 	}
@@ -129,7 +128,7 @@ func (c *Custodian) shutdownLocked(closers []io.Closer) []io.Closer {
 		// and the resume path re-wakes it.
 		th.updateMatchableLocked()
 		if len(th.custodians) == 0 {
-			c.rt.traceLocked(TraceCondemned, th, "")
+			c.rt.traceLocked(TraceCondemned, th)
 		}
 	}
 	clear(c.threads)

@@ -57,10 +57,9 @@ type Instrumentation interface {
 
 	// Lifecycle reports a thread lifecycle transition that is not
 	// covered by the scheduler taps: TraceKill, TraceSuspend,
-	// TraceResume, TraceCondemned, TraceYoke, TraceBreak (and
-	// TraceShutdown with a nil thread, which CustodianShutdown reports
-	// with more detail). TraceSpawn and TraceDone are delivered through
-	// Spawned and Done, not here.
+	// TraceResume, TraceCondemned, TraceYoke, TraceBreak. Spawn, finish
+	// and custodian shutdown have their own taps (Spawned, Done,
+	// CustodianShutdown).
 	Lifecycle(kind TraceKind, th *Thread)
 
 	// SyncCommit reports a committed rendezvous: th's in-flight sync
@@ -87,16 +86,16 @@ type Instrumentation interface {
 // implementations override only the taps they care about.
 type NopInstrumentation struct{}
 
-func (NopInstrumentation) Spawned(*Thread)                  {}
-func (NopInstrumentation) Runnable(*Thread)                 {}
-func (NopInstrumentation) Blocked(*Thread)                  {}
-func (NopInstrumentation) Done(*Thread)                     {}
-func (NopInstrumentation) Pause(*Thread)                    {}
-func (NopInstrumentation) Lifecycle(TraceKind, *Thread)     {}
-func (NopInstrumentation) SyncCommit(*Thread, int, int)     {}
-func (NopInstrumentation) CustodianShutdown(int64, int)     {}
-func (NopInstrumentation) AlarmFire(*Thread)                {}
-func (NopInstrumentation) Deterministic() bool              { return false }
+func (NopInstrumentation) Spawned(*Thread)              {}
+func (NopInstrumentation) Runnable(*Thread)             {}
+func (NopInstrumentation) Blocked(*Thread)              {}
+func (NopInstrumentation) Done(*Thread)                 {}
+func (NopInstrumentation) Pause(*Thread)                {}
+func (NopInstrumentation) Lifecycle(TraceKind, *Thread) {}
+func (NopInstrumentation) SyncCommit(*Thread, int, int) {}
+func (NopInstrumentation) CustodianShutdown(int64, int) {}
+func (NopInstrumentation) AlarmFire(*Thread)            {}
+func (NopInstrumentation) Deterministic() bool          { return false }
 
 // teeInstrumentation fans every tap out to two instrumentations, a is
 // called first. Deterministic if either is (the usual composition is a

@@ -51,8 +51,6 @@ type Runtime struct {
 	// Shutdown must not wait on resources nobody registered.
 	externals atomic.Int64
 
-	trace *traceBuf // nil unless EnableTracing
-
 	// panicHandler, if non-nil, observes panics raised by user code in
 	// runtime threads (after the panic is recorded on the thread).
 	panicHandler func(*Thread, *ThreadPanicError)
@@ -213,7 +211,6 @@ func (rt *Runtime) newThreadLocked(name string, c *Custodian) *Thread {
 	}
 	th.updateMatchableLocked()
 	rt.threads[th.id] = th
-	rt.traceBufLocked(TraceSpawn, th, "")
 	if h := rt.hook(); h != nil {
 		h.Spawned(th)
 	}

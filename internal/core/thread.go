@@ -261,7 +261,7 @@ func (t *Thread) Suspend() {
 	if !t.done {
 		t.explicitSuspend = true
 		t.updateMatchableLocked()
-		t.rt.traceLocked(TraceSuspend, t, "")
+		t.rt.traceLocked(TraceSuspend, t)
 	}
 	t.rt.mu.Unlock()
 }
@@ -282,7 +282,7 @@ func (t *Thread) killLocked() {
 	}
 	t.killed.Store(true)
 	t.updateMatchableLocked()
-	t.rt.traceLocked(TraceKill, t, "")
+	t.rt.traceLocked(TraceKill, t)
 	if op := t.op.Load(); op != nil {
 		if op.claimAbort(opAbortedKill) {
 			// Fire the in-flight sync's nacks immediately so that servers
@@ -305,7 +305,6 @@ func (t *Thread) markDoneLocked() {
 	t.done = true
 	t.killed.Store(true)
 	t.updateMatchableLocked()
-	t.rt.traceBufLocked(TraceDone, t, "")
 	for c := range t.custodians {
 		delete(c.threads, t)
 	}
@@ -425,7 +424,7 @@ func (t *Thread) resumeLocked(visited map[*Thread]struct{}) {
 	visited[t] = struct{}{}
 	if !t.done {
 		if t.explicitSuspend {
-			t.rt.traceLocked(TraceResume, t, "")
+			t.rt.traceLocked(TraceResume, t)
 		}
 		t.explicitSuspend = false
 		t.wakeIfRunnableLocked()
@@ -451,7 +450,7 @@ func (t *Thread) Break() {
 	if t.done || !t.pendingBreak.CompareAndSwap(false, true) {
 		return
 	}
-	t.rt.traceLocked(TraceBreak, t, "")
+	t.rt.traceLocked(TraceBreak, t)
 	if op := t.op.Load(); op != nil && op.breakable.Load() {
 		// Abort via claim-then-verify rather than a direct CAS to the
 		// aborted state: between the breakable read above and the CAS, the
@@ -545,7 +544,7 @@ func ResumeVia(t, by *Thread) {
 	}
 	if !by.done {
 		if _, ok := by.beneficiaries[t]; !ok {
-			t.rt.traceLocked(TraceYoke, t, "via "+by.String())
+			t.rt.traceLocked(TraceYoke, t)
 		}
 		by.beneficiaries[t] = struct{}{}
 		t.yokedOwners[by] = struct{}{}

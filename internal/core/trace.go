@@ -2,18 +2,16 @@ package core
 
 import "fmt"
 
-// TraceKind classifies runtime lifecycle events.
+// TraceKind classifies the thread lifecycle transitions reported through
+// Instrumentation.Lifecycle.
 type TraceKind int
 
-// Trace event kinds.
+// Lifecycle transition kinds.
 const (
-	TraceSpawn     TraceKind = iota // thread created
-	TraceDone                       // thread finished (returned or killed)
-	TraceKill                       // thread killed
+	TraceKill      TraceKind = iota // thread killed
 	TraceSuspend                    // thread explicitly suspended
 	TraceResume                     // thread resumed
 	TraceCondemned                  // thread lost its last custodian
-	TraceShutdown                   // custodian shut down
 	TraceYoke                       // thread yoked to another (ResumeVia/SpawnYoked)
 	TraceBreak                      // break signal delivered to a thread
 )
@@ -21,10 +19,6 @@ const (
 // String names the kind.
 func (k TraceKind) String() string {
 	switch k {
-	case TraceSpawn:
-		return "spawn"
-	case TraceDone:
-		return "done"
 	case TraceKill:
 		return "kill"
 	case TraceSuspend:
@@ -33,8 +27,6 @@ func (k TraceKind) String() string {
 		return "resume"
 	case TraceCondemned:
 		return "condemned"
-	case TraceShutdown:
-		return "shutdown"
 	case TraceYoke:
 		return "yoke"
 	case TraceBreak:
@@ -44,93 +36,10 @@ func (k TraceKind) String() string {
 	}
 }
 
-// TraceEvent is one recorded lifecycle transition.
-type TraceEvent struct {
-	Kind   TraceKind
-	Thread string // thread name#id, if the event concerns a thread
-	Extra  string // secondary party (yoke target, custodian note)
-	Seq    uint64 // monotonically increasing per runtime
-}
-
-func (e TraceEvent) String() string {
-	if e.Extra != "" {
-		return fmt.Sprintf("[%d] %s %s (%s)", e.Seq, e.Kind, e.Thread, e.Extra)
-	}
-	return fmt.Sprintf("[%d] %s %s", e.Seq, e.Kind, e.Thread)
-}
-
-// traceBuf is a fixed-capacity ring of recent events, recorded under the
-// runtime lock; reading takes a snapshot. Tracing costs nothing when
-// disabled.
-type traceBuf struct {
-	events []TraceEvent
-	next   int
-	full   bool
-	seq    uint64
-}
-
-const traceCapacity = 4096
-
-// EnableTracing turns on lifecycle tracing, keeping the most recent
-// events (up to an internal capacity) for inspection via TraceSnapshot.
-func (rt *Runtime) EnableTracing() {
-	rt.mu.Lock()
-	if rt.trace == nil {
-		rt.trace = &traceBuf{events: make([]TraceEvent, traceCapacity)}
-	}
-	rt.mu.Unlock()
-}
-
-// DisableTracing turns tracing off and discards recorded events.
-func (rt *Runtime) DisableTracing() {
-	rt.mu.Lock()
-	rt.trace = nil
-	rt.mu.Unlock()
-}
-
-// TraceSnapshot returns the recorded events, oldest first.
-func (rt *Runtime) TraceSnapshot() []TraceEvent {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	tb := rt.trace
-	if tb == nil {
-		return nil
-	}
-	var out []TraceEvent
-	if tb.full {
-		out = append(out, tb.events[tb.next:]...)
-	}
-	out = append(out, tb.events[:tb.next]...)
-	return out
-}
-
 // traceLocked delivers a lifecycle transition to the installed
-// instrumentation's Lifecycle tap and records it in the trace buffer if
-// tracing is enabled. Caller holds rt.mu. Spawn/done transitions go
-// through traceBufLocked instead: the instrumentation already receives
-// them via the dedicated Spawned/Done taps.
-func (rt *Runtime) traceLocked(kind TraceKind, th *Thread, extra string) {
+// instrumentation's Lifecycle tap. Caller holds rt.mu.
+func (rt *Runtime) traceLocked(kind TraceKind, th *Thread) {
 	if h := rt.hook(); h != nil {
 		h.Lifecycle(kind, th)
-	}
-	rt.traceBufLocked(kind, th, extra)
-}
-
-// traceBufLocked records an event if tracing is enabled. Caller holds rt.mu.
-func (rt *Runtime) traceBufLocked(kind TraceKind, th *Thread, extra string) {
-	tb := rt.trace
-	if tb == nil {
-		return
-	}
-	tb.seq++
-	name := ""
-	if th != nil {
-		name = fmt.Sprintf("%s#%d", th.name, th.id)
-	}
-	tb.events[tb.next] = TraceEvent{Kind: kind, Thread: name, Extra: extra, Seq: tb.seq}
-	tb.next++
-	if tb.next == len(tb.events) {
-		tb.next = 0
-		tb.full = true
 	}
 }

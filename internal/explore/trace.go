@@ -89,7 +89,9 @@ const traceMagic = "killsafe-explore-trace 1"
 func (t *Trace) Encode(w io.Writer) error {
 	bw := bufio.NewWriter(w)
 	fmt.Fprintf(bw, "%s\n", traceMagic)
-	fmt.Fprintf(bw, "scenario %s\n", t.Scenario)
+	if t.Scenario != "" { // a bare "scenario" line does not decode
+		fmt.Fprintf(bw, "scenario %s\n", t.Scenario)
+	}
 	fmt.Fprintf(bw, "seed %d\n", t.Seed)
 	for _, a := range t.Actions {
 		fmt.Fprintf(bw, "%s\n", a.String())

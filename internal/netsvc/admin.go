@@ -9,83 +9,67 @@ import (
 	"repro/internal/obs"
 )
 
-// Admin surface: the /debug/killsafe/* routes served by every session
-// thread (see serveConn's dispatch) and reusable by an out-of-band HTTP
-// mux (cmd/killserve's -admin listener). All renderers read atomic
-// counters or take per-runtime snapshots; none of them is a hot path.
+// Admin surface: the /debug/killsafe/* routes, answered by Admin for the
+// in-band dispatch (see serveConn) and for any out-of-band HTTP mux
+// (cmd/killserve's -admin listener and its expvar variable). The stats
+// document is built by one walk — ShardedServer.walk for a fleet — and
+// every renderer reads atomic counters or takes per-runtime snapshots;
+// none of them is a hot path.
 
-// adminShardStats is one shard's slice of the stats document.
-type adminShardStats struct {
+// adminShard is one shard's slice of the stats document.
+type adminShard struct {
 	Shard   int           `json:"shard"`
 	Serving StatsSnapshot `json:"serving"`
 	Runtime *obs.Snapshot `json:"runtime,omitempty"` // nil under DisableObs
 	Live    int           `json:"live_threads"`      // runtime accounting, not counters
+
+	srv *Server // the engine this entry was read from
 }
 
 // adminStats is the /debug/killsafe/stats document: fleet totals plus
 // the per-shard breakdown (a standalone server is a one-shard fleet).
 type adminStats struct {
-	Shards   int               `json:"shards"`
-	Serving  StatsSnapshot     `json:"serving"`
-	Runtime  *obs.Snapshot     `json:"runtime,omitempty"`
-	PerShard []adminShardStats `json:"per_shard"`
+	Shards   int           `json:"shards"`
+	Serving  StatsSnapshot `json:"serving"`
+	Runtime  *obs.Snapshot `json:"runtime,omitempty"`
+	PerShard []adminShard  `json:"per_shard"`
 }
 
-// adminServers returns the servers the admin document covers: every
-// live shard engine of the fleet, or just this server when unsharded.
-// Engines retired by DrainShard are excluded — their counters live in
-// the fleet's retired fold, which AdminStatsJSON adds separately.
-func (s *Server) adminServers() []*Server {
-	if s.sharded == nil {
-		return []*Server{s}
-	}
-	out := make([]*Server, 0, s.sharded.NumShards())
-	for _, sh := range s.sharded.shards {
-		if sh.retired.Load() {
-			continue
+// add reads one live engine's counters into the document.
+func (d *adminStats) add(sv *Server) {
+	e := adminShard{Shard: sv.shard, Serving: sv.Stats(), srv: sv}
+	d.Serving = addStats(d.Serving, e.Serving)
+	if sv.obs != nil {
+		snap := sv.obs.Snapshot()
+		e.Runtime = &snap
+		var agg obs.Snapshot
+		if d.Runtime != nil {
+			agg = *d.Runtime
 		}
-		out = append(out, sh.server())
+		agg = agg.Add(snap)
+		d.Runtime = &agg
 	}
-	return out
+	d.PerShard = append(d.PerShard, e)
 }
 
-// AdminStatsJSON renders the /debug/killsafe/stats document.
-func (s *Server) AdminStatsJSON() string {
-	servers := s.adminServers()
-	doc := adminStats{Shards: len(servers)}
-	var agg obs.Snapshot
-	haveObs := false
-	for _, sv := range servers {
-		entry := adminShardStats{
-			Shard:   sv.shard,
-			Serving: sv.Stats(),
-			Live:    sv.rt.LiveThreads(),
-		}
-		doc.Serving = addStats(doc.Serving, entry.Serving)
-		if sv.obs != nil {
-			snap := sv.obs.Snapshot()
-			entry.Runtime = &snap
-			agg = agg.Add(snap)
-			haveObs = true
-		}
-		doc.PerShard = append(doc.PerShard, entry)
+// statsDoc returns the stats document as this server answers it: the
+// fleet's walk in sharded operation, else this engine alone.
+func (s *Server) statsDoc() adminStats {
+	if s.sharded != nil {
+		return s.sharded.walk()
 	}
-	// Fold in the engines retired by live drains: the fleet totals must
-	// never lose served work to a handoff, and ShardsDrained is a
-	// fleet-level fact no live engine carries.
-	if m := s.sharded; m != nil {
-		doc.Shards = m.NumShards()
-		m.mu.Lock()
-		doc.Serving = addStats(doc.Serving, m.retired)
-		doc.Serving.ShardsDrained = m.drains
-		retiredObs := m.retiredObs
-		m.mu.Unlock()
-		if haveObs {
-			agg = retiredObs.Add(agg)
-		}
-	}
-	if haveObs {
-		doc.Runtime = &agg
+	doc := adminStats{Shards: 1}
+	doc.add(s)
+	return doc
+}
+
+// statsJSON renders the /debug/killsafe/stats document. Live-thread
+// counts are runtime accounting under each runtime's own lock, so they
+// are read after the walk rather than inside it.
+func (s *Server) statsJSON() string {
+	doc := s.statsDoc()
+	for i := range doc.PerShard {
+		doc.PerShard[i].Live = doc.PerShard[i].srv.rt.LiveThreads()
 	}
 	return marshalAdmin(doc)
 }
@@ -97,63 +81,52 @@ type adminCustodians struct {
 	Custodians []core.CustodianInfo `json:"custodians"`
 }
 
-// AdminCustodiansJSON renders the /debug/killsafe/custodians document.
-func (s *Server) AdminCustodiansJSON() string {
-	servers := s.adminServers()
-	out := make([]adminCustodians, 0, len(servers))
-	for _, sv := range servers {
-		out = append(out, adminCustodians{Shard: sv.shard, Custodians: sv.rt.CustodianSnapshot()})
+// custodiansJSON renders the /debug/killsafe/custodians document over
+// the engines the stats walk counts live.
+func (s *Server) custodiansJSON() string {
+	doc := s.statsDoc()
+	out := make([]adminCustodians, 0, len(doc.PerShard))
+	for _, e := range doc.PerShard {
+		out = append(out, adminCustodians{Shard: e.Shard, Custodians: e.srv.rt.CustodianSnapshot()})
 	}
 	return marshalAdmin(out)
 }
 
-// AdminTraceText renders shard's flight recorder in the explore trace
-// format (shard -1 means this server's own). It returns ok=false if the
-// flight recorder is not enabled (or the shard index is out of range).
-func (s *Server) AdminTraceText(shard int) (string, bool) {
+// traceText answers /debug/killsafe/trace: the flight recorder of the
+// shard named by ?shard=N, or of this server when the query names none.
+func (s *Server) traceText(query map[string]string) (status int, body string) {
 	sv := s
-	if shard >= 0 {
-		if s.sharded == nil {
-			if shard != s.shard {
-				return "", false
-			}
-		} else {
-			if shard >= s.sharded.NumShards() {
-				return "", false
-			}
-			sv = s.sharded.Shard(shard)
+	if v, have := query["shard"]; have {
+		n, err := strconv.Atoi(v)
+		if err != nil || n < 0 {
+			return 400, fmt.Sprintf("bad shard %q: want a shard index >= 0\n", v)
+		}
+		switch {
+		case s.sharded != nil && n < s.sharded.NumShards():
+			sv = s.sharded.Shard(n)
+		case s.sharded != nil || n != s.shard:
+			return 404, fmt.Sprintf("no shard %d\n", n)
 		}
 	}
-	if sv.obs == nil {
-		return "", false
+	if sv.obs == nil || sv.obs.Recorder() == nil {
+		return 404, "flight recorder not enabled (set Config.FlightRecorder)\n"
 	}
-	rec := sv.obs.Recorder()
-	if rec == nil {
-		return "", false
-	}
-	return rec.TraceText(fmt.Sprintf("netsvc-shard-%d", sv.shard), 0), true
+	return 200, sv.obs.Recorder().TraceText(fmt.Sprintf("netsvc-shard-%d", sv.shard), 0)
 }
 
-// adminDispatch answers the /debug/killsafe/* routes; ok=false means
-// the path is not an admin route.
-func (s *Server) adminDispatch(path string, query map[string]string) (status int, body string, ok bool) {
+// Admin answers the /debug/killsafe/* routes as this server sees them
+// (in sharded operation: the whole fleet); ok=false means path is not an
+// admin route. It is the one admin entry point — the in-band dispatch
+// and an out-of-band HTTP mux call the same function.
+func (s *Server) Admin(path string, query map[string]string) (status int, body string, ok bool) {
 	switch path {
 	case "/debug/killsafe/stats":
-		return 200, s.AdminStatsJSON() + "\n", true
+		return 200, s.statsJSON() + "\n", true
 	case "/debug/killsafe/custodians":
-		return 200, s.AdminCustodiansJSON() + "\n", true
+		return 200, s.custodiansJSON() + "\n", true
 	case "/debug/killsafe/trace":
-		shard := -1
-		if v, have := query["shard"]; have {
-			if n, err := strconv.Atoi(v); err == nil {
-				shard = n
-			}
-		}
-		text, found := s.AdminTraceText(shard)
-		if !found {
-			return 404, "flight recorder not enabled (set Config.FlightRecorder)\n", true
-		}
-		return 200, text, true
+		status, body = s.traceText(query)
+		return status, body, true
 	}
 	return 0, "", false
 }
@@ -166,41 +139,12 @@ func marshalAdmin(v any) string {
 	return string(b)
 }
 
-// PublishExpvar exposes the runtime metrics of every shard this server
-// belongs to as expvar variables "name.shardN" (for /debug/vars on a
-// plain HTTP mux). With obs disabled it is a no-op.
-func (s *Server) PublishExpvar(name string) {
-	for _, sv := range s.adminServers() {
-		if sv.obs != nil {
-			obs.PublishExpvar(fmt.Sprintf("%s.shard%d", name, sv.shard), sv.obs)
-		}
-	}
-}
-
-// PublishExpvar exposes the fleet's per-shard runtime metrics as expvar
-// variables "name.shardN". With obs disabled it is a no-op.
-func (m *ShardedServer) PublishExpvar(name string) {
-	m.Shard(0).PublishExpvar(name)
-}
-
-// Obs returns shard i's observability layer (nil under DisableObs).
-// After a DrainShard the layer belongs to the replacement engine.
-func (m *ShardedServer) Obs(i int) *obs.Obs { return m.shards[i].server().obs }
-
 // ObsSnapshot returns the fleet-wide aggregate of the per-shard runtime
 // metrics (the zero snapshot under DisableObs), including the folded
 // totals of engines retired by drains.
 func (m *ShardedServer) ObsSnapshot() obs.Snapshot {
-	m.mu.Lock()
-	agg := m.retiredObs
-	m.mu.Unlock()
-	for _, sh := range m.shards {
-		if sh.retired.Load() {
-			continue
-		}
-		if o := sh.server().obs; o != nil {
-			agg = agg.Add(o.Snapshot())
-		}
+	if doc := m.walk(); doc.Runtime != nil {
+		return *doc.Runtime
 	}
-	return agg
+	return obs.Snapshot{}
 }

@@ -465,21 +465,13 @@ func (s *Server) shedRequest(req *web.Request, arrivedAt time.Time) bool {
 	return true
 }
 
-// dispatch answers one servlet request: the admin surface and /debug/stats
-// are the serving layer's own routes (in sharded operation they report
-// fleet-wide aggregates, so any shard answers the same numbers);
-// everything else goes to the mounted web.Server, bounded by
-// cfg.RequestTimeout when set.
+// dispatch answers one servlet request: the admin surface is the serving
+// layer's own (in sharded operation it reports the whole fleet, so any
+// shard answers the same numbers); everything else goes to the mounted
+// web.Server, bounded by cfg.RequestTimeout when set.
 func (s *Server) dispatch(th *core.Thread, cs *connState, req *web.Request) (web.Response, bool) {
-	if status, body, ok := s.adminDispatch(req.Path, req.Query); ok {
+	if status, body, ok := s.Admin(req.Path, req.Query); ok {
 		return web.Response{Status: status, Body: body}, false
-	}
-	if req.Path == "/debug/stats" {
-		snap := s.Stats()
-		if s.aggStats != nil {
-			snap = s.aggStats()
-		}
-		return web.Response{Status: 200, Body: snap.json() + "\n"}, false
 	}
 	if s.cfg.RequestTimeout > 0 {
 		return s.dispatchBounded(th, cs, req)

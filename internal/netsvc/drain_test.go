@@ -152,9 +152,9 @@ func TestAdmissionShedsUnderOverload(t *testing.T) {
 // the fleet while each shard's runtime is replaced. Oracles: every drain
 // returns nil and replaces the runtime, no session is killed, every
 // response frame is whole and correct, a fresh connection's request never
-// fails, and a keep-alive connection ends only on a frame boundary — a
+// fails, a keep-alive connection ends only on a frame boundary — a
 // clean close, or a whole 503 with Connection: close — after which the
-// client redials.
+// client redials, and no fleet counter ever goes backwards.
 func TestDrainShardUnderLoad(t *testing.T) {
 	const shards = 2
 	base := runtime.NumGoroutine()
@@ -241,6 +241,40 @@ func TestDrainShardUnderLoad(t *testing.T) {
 			}
 		}(w%3 != 0)
 	}
+	// The books reader: Stats and the admin document are sampled all
+	// through the drains, and served work never leaves the books — a
+	// draining engine counts live until its fold — so no counter may
+	// read lower than it did the sample before.
+	var backwards atomic.Value
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		tick := time.NewTicker(100 * time.Microsecond)
+		defer tick.Stop()
+		var last, lastDoc netsvc.StatsSnapshot
+		for {
+			select {
+			case <-stop:
+				return
+			case <-tick.C:
+			}
+			st := m.Stats()
+			_, body, _ := m.Shard(0).Admin("/debug/killsafe/stats", nil)
+			var doc struct {
+				Serving netsvc.StatsSnapshot `json:"serving"`
+			}
+			if err := json.Unmarshal([]byte(body), &doc); err != nil {
+				backwards.CompareAndSwap(nil, fmt.Sprintf("stats document: %v", err))
+				return
+			}
+			if st.Accepted < last.Accepted || st.Requests < last.Requests || doc.Serving.Requests < lastDoc.Requests {
+				backwards.CompareAndSwap(nil, fmt.Sprintf(
+					"Stats accepted %d -> %d, requests %d -> %d; document requests %d -> %d",
+					last.Accepted, st.Accepted, last.Requests, st.Requests, lastDoc.Requests, doc.Serving.Requests))
+			}
+			last, lastDoc = st, doc.Serving
+		}
+	}()
 	awaitProgress := func(n int) {
 		for i := 0; i < n; i++ {
 			select {
@@ -266,6 +300,9 @@ func TestDrainShardUnderLoad(t *testing.T) {
 	wg.Wait()
 
 	stats := m.Stats()
+	if b := backwards.Load(); b != nil {
+		t.Fatalf("fleet books went backwards during a drain: %v", b)
+	}
 	if n := loadErrs.Load(); n != 0 {
 		t.Fatalf("%d requests failed across the drains, first: %v (stats %+v)", n, firstErr.Load(), stats)
 	}

@@ -176,11 +176,8 @@ type Server struct {
 	ln    net.Listener    // nil for a shard (the ShardedServer owns the listener)
 	shard int             // shard index, 0 for a standalone server
 
-	// aggStats, when set (sharded operation), supplies the fleet-wide
-	// snapshot served by /debug/stats in place of this shard's own.
-	aggStats func() StatsSnapshot
 	// sharded, when set, is the fleet this server is one shard of; the
-	// admin surface uses it to aggregate across shards.
+	// admin surface reports the fleet's walk instead of this engine alone.
 	sharded *ShardedServer
 
 	obs *obs.Obs // runtime observability; nil under Config.DisableObs

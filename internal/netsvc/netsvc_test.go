@@ -2,6 +2,7 @@ package netsvc_test
 
 import (
 	"bufio"
+	"encoding/json"
 	"fmt"
 	"io"
 	"net"
@@ -38,6 +39,19 @@ func get(addr, target string) (status string, body string, err error) {
 		return "", "", err
 	}
 	return readResponse(bufio.NewReader(c))
+}
+
+// servingOf decodes the fleet-total "serving" object of a
+// /debug/killsafe/stats response body.
+func servingOf(t *testing.T, body string) netsvc.StatsSnapshot {
+	t.Helper()
+	var doc struct {
+		Serving netsvc.StatsSnapshot `json:"serving"`
+	}
+	if err := json.Unmarshal([]byte(body), &doc); err != nil {
+		t.Fatalf("stats document is not JSON: %v\n%s", err, body)
+	}
+	return doc.Serving
 }
 
 // readResponse parses one response off r: status line, headers
@@ -284,7 +298,8 @@ func TestDebugStatsRoute(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer s.Shutdown(th, time.Second)
-		status, body, err := get(s.Addr().String(), "/debug/stats")
+		// The serving counters are the stats document's "serving" object.
+		status, body, err := get(s.Addr().String(), "/debug/killsafe/stats")
 		if err != nil || !strings.Contains(status, "200") {
 			t.Fatalf("(%q, %v)", status, err)
 		}
@@ -292,6 +307,9 @@ func TestDebugStatsRoute(t *testing.T) {
 			if !strings.Contains(body, key) {
 				t.Fatalf("stats body %q missing %s", body, key)
 			}
+		}
+		if serving := servingOf(t, body); serving.Accepted != 1 || !strings.HasPrefix(serving.Protocol, "http") {
+			t.Fatalf("serving = %+v, want this one connection over http", serving)
 		}
 	})
 }

@@ -138,7 +138,7 @@ func TestShardedObsKillStorm(t *testing.T) {
 	}
 	var kills int64
 	for i := 0; i < m.NumShards(); i++ {
-		s := m.Obs(i).Snapshot()
+		s := m.Shard(i).Obs().Snapshot()
 		if s.Spawns != s.Dones {
 			t.Errorf("shard %d: spawns (%d) != dones (%d) after shutdown", i, s.Spawns, s.Dones)
 		}
@@ -169,7 +169,7 @@ func TestObsDisabled(t *testing.T) {
 	}
 	defer func() { _ = m.Shutdown(time.Second) }()
 	addr := m.Addr().String()
-	if m.Obs(0) != nil {
+	if m.Shard(0).Obs() != nil {
 		t.Fatal("DisableObs still attached an Obs")
 	}
 	status, body, err := get(addr, "/debug/killsafe/stats")
@@ -185,8 +185,9 @@ func TestObsDisabled(t *testing.T) {
 	}
 }
 
-// TestTraceShardQuery: ?shard=N selects a specific shard's recorder and
-// out-of-range indexes 404.
+// TestTraceShardQuery: ?shard=N selects a specific shard's recorder,
+// out-of-range indexes 404, and a shard that is not an index at all is
+// refused with 400 rather than answered from the wrong recorder.
 func TestTraceShardQuery(t *testing.T) {
 	m, err := netsvc.ServeSharded(netsvc.Config{Shards: 2, FlightRecorder: 64}, shardSetup)
 	if err != nil {
@@ -209,5 +210,11 @@ func TestTraceShardQuery(t *testing.T) {
 	status, _, err := get(addr, "/debug/killsafe/trace?shard=7")
 	if err != nil || !strings.Contains(status, "404") {
 		t.Fatalf("out-of-range shard: %q %v, want 404", status, err)
+	}
+	for _, bad := range []string{"x", "-1", "1.5", ""} {
+		status, body, err := get(addr, "/debug/killsafe/trace?shard="+bad)
+		if err != nil || !strings.Contains(status, "400") || strings.Contains(body, "killsafe-explore-trace") {
+			t.Fatalf("shard=%q: %q %q %v, want a 400 and no trace", bad, status, body, err)
+		}
 	}
 }

@@ -59,7 +59,7 @@ type ShardedServer struct {
 type shard struct {
 	idx      int
 	draining atomic.Bool // drain in progress: the assigner routes around it
-	retired  atomic.Bool // engine reaped with no replacement; skip everywhere
+	retired  atomic.Bool // engine reaped and folded, no replacement yet; skip everywhere
 
 	// gate is the drain handshake with the accept pump: the pump holds
 	// it shared from its draining check to the end of its submit, and
@@ -151,7 +151,6 @@ func (m *ShardedServer) startShard(sh *shard) error {
 				return
 			}
 			srv.shard = sh.idx
-			srv.aggStats = m.Stats
 			srv.sharded = m
 			srv.rehome = func(c net.Conn) bool { return m.rehome(c, sh.idx) }
 			m.mu.Lock()
@@ -303,36 +302,37 @@ func (m *ShardedServer) Runtime(i int) *core.Runtime {
 	return m.shards[i].rt
 }
 
-// Stats returns the fleet-wide aggregate of the per-shard counters,
-// including the folded totals of every engine retired by a drain — a
-// completed handoff never makes served work disappear from the books.
-func (m *ShardedServer) Stats() StatsSnapshot {
+// walk is the fleet's one read of its books, behind Stats, ObsSnapshot
+// and the admin documents. It reads the retired fold and every live
+// engine in one m.mu section, and DrainShard folds a reaped engine and
+// marks it retired in one m.mu section, so every reader counts each
+// engine exactly once — live while it serves and drains, folded after —
+// and no fleet counter goes backwards across a handoff.
+//
+// Lock order: m.mu, then an engine's admission lock (its only lock the
+// read takes; the rest are atomics). The admission lock is a leaf that
+// never waits for m.mu, so the walk cannot deadlock against a drain.
+func (m *ShardedServer) walk() adminStats {
 	m.mu.Lock()
-	agg := m.retired
-	drains := m.drains
-	m.mu.Unlock()
-	for _, sh := range m.shards {
-		if sh.retired.Load() {
-			continue
-		}
-		agg = addStats(agg, sh.server().Stats())
+	defer m.mu.Unlock()
+	doc := adminStats{Shards: len(m.shards), Serving: m.retired}
+	if !m.cfg.DisableObs {
+		retiredObs := m.retiredObs
+		doc.Runtime = &retiredObs
 	}
-	agg.ShardsDrained = drains
-	return agg
+	for _, sh := range m.shards {
+		if !sh.retired.Load() {
+			doc.add(sh.server())
+		}
+	}
+	doc.Serving.ShardsDrained = m.drains
+	return doc
 }
 
-// ShardStats returns each live shard engine's own snapshot, indexed by
-// shard (retired engines' counters live in the fleet aggregate).
-func (m *ShardedServer) ShardStats() []StatsSnapshot {
-	out := make([]StatsSnapshot, len(m.shards))
-	for i, sh := range m.shards {
-		if sh.retired.Load() {
-			continue
-		}
-		out[i] = sh.server().Stats()
-	}
-	return out
-}
+// Stats returns the fleet-wide aggregate of the per-shard counters,
+// including the folded totals of every engine retired by a drain — a
+// handoff never makes served work disappear from the books.
+func (m *ShardedServer) Stats() StatsSnapshot { return m.walk().Serving }
 
 // ErrBadShard reports a shard index out of range (or a shard already
 // retired without replacement).
@@ -406,9 +406,9 @@ func (m *ShardedServer) DrainShard(i int, grace time.Duration) error {
 	}
 	// Order the graceful shutdown through the shard's main thread — the
 	// same custodian-tree path a fleet Shutdown uses — and reap the old
-	// runtime. The shard is marked retired first so fleet-wide Stats
-	// readers never see the engine both live and folded.
-	sh.retired.Store(true)
+	// runtime. The engine stays live in the books for the whole grace
+	// window; once reaped its counters are final, and the fold and the
+	// retired mark land in one m.mu section (see walk).
 	sh.stop.Complete(grace)
 	var errs []error
 	if err := <-sh.runDone; err != nil {
@@ -416,20 +416,15 @@ func (m *ShardedServer) DrainShard(i int, grace time.Duration) error {
 	} else if sh.sdErr != nil {
 		errs = append(errs, fmt.Errorf("shard %d: %w", i, sh.sdErr))
 	}
-	oldStats := old.Stats()
-	var oldObs *obs.Snapshot
-	if old.obs != nil {
-		snap := old.obs.Snapshot()
-		oldObs = &snap
-	}
-	sh.rt.Shutdown()
 	m.mu.Lock()
-	m.retired = addStats(m.retired, oldStats)
-	if oldObs != nil {
-		m.retiredObs = m.retiredObs.Add(*oldObs)
+	m.retired = addStats(m.retired, old.Stats())
+	if old.obs != nil {
+		m.retiredObs = m.retiredObs.Add(old.obs.Snapshot())
 	}
 	m.drains++
+	sh.retired.Store(true)
 	m.mu.Unlock()
+	sh.rt.Shutdown()
 	if m.isDown() {
 		// The fleet died while the old engine drained: no replacement.
 		// The shard stays retired; teardown skips it.

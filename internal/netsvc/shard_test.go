@@ -44,13 +44,22 @@ func dialSlow(t *testing.T, addr string) net.Conn {
 	return c
 }
 
+// shardStats reads every shard engine's own counters.
+func shardStats(m *netsvc.ShardedServer) []netsvc.StatsSnapshot {
+	out := make([]netsvc.StatsSnapshot, m.NumShards())
+	for i := range out {
+		out[i] = m.Shard(i).Stats()
+	}
+	return out
+}
+
 // waitShardActive polls until every shard serves at least want sessions.
 func waitShardActive(t *testing.T, m *netsvc.ShardedServer, want int64) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
 	for time.Now().Before(deadline) {
 		ok := true
-		for _, s := range m.ShardStats() {
+		for _, s := range shardStats(m) {
 			if s.Active < want {
 				ok = false
 				break
@@ -61,7 +70,7 @@ func waitShardActive(t *testing.T, m *netsvc.ShardedServer, want int64) {
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
-	t.Fatalf("shards never reached %d active sessions each: %+v", want, m.ShardStats())
+	t.Fatalf("shards never reached %d active sessions each: %+v", want, shardStats(m))
 }
 
 // waitTotalActive polls until the fleet serves want sessions in total.
@@ -70,7 +79,7 @@ func waitTotalActive(t *testing.T, m *netsvc.ShardedServer, want int64) {
 	deadline := time.Now().Add(10 * time.Second)
 	for time.Now().Before(deadline) {
 		var total int64
-		for _, s := range m.ShardStats() {
+		for _, s := range shardStats(m) {
 			total += s.Active
 		}
 		if total == want {
@@ -78,7 +87,7 @@ func waitTotalActive(t *testing.T, m *netsvc.ShardedServer, want int64) {
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
-	t.Fatalf("fleet never reached %d active sessions: %+v", want, m.ShardStats())
+	t.Fatalf("fleet never reached %d active sessions: %+v", want, shardStats(m))
 }
 
 func TestServeShardedBasic(t *testing.T) {
@@ -103,13 +112,14 @@ func TestServeShardedBasic(t *testing.T) {
 	if len(seen) != 2 {
 		t.Fatalf("8 requests reached %d distinct shards, want 2: %v", len(seen), seen)
 	}
-	// /debug/stats reports the fleet aggregate from any shard.
-	_, body, err := get(addr, "/debug/stats")
+	// The stats document's serving object is the fleet aggregate,
+	// answered by any shard.
+	_, body, err := get(addr, "/debug/killsafe/stats")
 	if err != nil {
-		t.Fatalf("get /debug/stats: %v", err)
+		t.Fatalf("get /debug/killsafe/stats: %v", err)
 	}
-	if !strings.Contains(body, `"accepted":9`) {
-		t.Fatalf("aggregate stats should count all 9 conns across shards, got %s", body)
+	if serving := servingOf(t, body); serving.Accepted != 9 {
+		t.Fatalf("aggregate stats should count all 9 conns across shards, got %+v", serving)
 	}
 	if err := m.Shutdown(time.Second); err != nil {
 		t.Fatalf("Shutdown: %v", err)
@@ -158,7 +168,7 @@ func TestShardChaosIsolation(t *testing.T) {
 	// straggler landing on shard 3 mid-storm would read as cross-shard
 	// perturbation when it is really just late accept-pump delivery.
 	waitTotalActive(t, m, int64(len(conns)))
-	before := m.ShardStats()
+	before := shardStats(m)
 
 	// The storm: five rounds of "terminate every session on shard 0".
 	// Each Terminate shuts the session's custodian down from plain Go —

@@ -1,14 +1,13 @@
 package netsvc
 
 import (
-	"encoding/json"
 	"reflect"
 	"sync/atomic"
 )
 
 // Stats is the serving layer's counter set. All fields are written with
-// atomics so the snapshot is safe from any goroutine (the /debug/stats
-// route, tests, plain monitoring goroutines).
+// atomics so the snapshot is safe from any goroutine (the admin
+// surface, tests, plain monitoring goroutines).
 type Stats struct {
 	accepted    atomic.Int64 // conns accepted by the OS listener
 	active      atomic.Int64 // conns currently being served
@@ -125,11 +124,4 @@ func addStats(a, b StatsSnapshot) StatsSnapshot {
 		a.Protocol = b.Protocol
 	}
 	return a
-}
-
-// json renders the snapshot as one compact object, fields in declaration
-// order.
-func (v StatsSnapshot) json() string {
-	b, _ := json.Marshal(v) // a flat struct of strings, ints and a bool cannot fail
-	return string(b)
 }

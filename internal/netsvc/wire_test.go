@@ -183,8 +183,8 @@ func TestRESPEndToEnd(t *testing.T) {
 		if got := send("STATS"); !strings.Contains(got, `"commits"`) {
 			t.Fatalf("STATS: %q", got)
 		}
-		if got := send("CALL /debug/stats"); !strings.Contains(got, `"protocol":"resp"`) {
-			t.Fatalf("CALL /debug/stats: %q", got)
+		if got := send("CALL /debug/killsafe/stats"); !strings.Contains(got, `"protocol": "resp"`) {
+			t.Fatalf("CALL /debug/killsafe/stats: %q", got)
 		}
 		// QUIT answers +OK and closes.
 		if got := send("QUIT"); got != "+OK" {

@@ -12,8 +12,6 @@
 package obs
 
 import (
-	"expvar"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/core"
@@ -168,58 +166,3 @@ func (o *Obs) AlarmFire(th *core.Thread) {
 func (o *Obs) Deterministic() bool { return false }
 
 var _ core.Instrumentation = (*Obs)(nil)
-
-// expvar publication. expvar.Publish panics on duplicate names, and the
-// Obs behind a name changes when a server restarts, so the registry maps
-// each published name to a swappable pointer fetched at render time.
-
-var (
-	expvarMu      sync.Mutex
-	expvarMap     = map[string]*atomic.Pointer[Obs]{}
-	expvarFuncMap = map[string]*atomic.Pointer[func() any]{}
-)
-
-// PublishExpvar exposes o's metrics snapshot as the expvar variable
-// name (rendered as JSON by /debug/vars). Publishing a second Obs under
-// the same name re-points the variable rather than panicking.
-func PublishExpvar(name string, o *Obs) {
-	expvarMu.Lock()
-	defer expvarMu.Unlock()
-	p, ok := expvarMap[name]
-	if !ok {
-		p = &atomic.Pointer[Obs]{}
-		expvarMap[name] = p
-		src := p
-		expvar.Publish(name, expvar.Func(func() any {
-			if o := src.Load(); o != nil {
-				return o.Snapshot()
-			}
-			return nil
-		}))
-	}
-	p.Store(o)
-}
-
-// PublishExpvarFunc exposes fn's return value as the expvar variable
-// name, with the same re-point-on-republish semantics as PublishExpvar:
-// publishing a second function under the same name swaps the source
-// rather than panicking. Useful for documents assembled outside a single
-// Obs — a sharded fleet's aggregate serving stats, say — where the
-// underlying object is replaced across restarts and drains.
-func PublishExpvarFunc(name string, fn func() any) {
-	expvarMu.Lock()
-	defer expvarMu.Unlock()
-	p, ok := expvarFuncMap[name]
-	if !ok {
-		p = &atomic.Pointer[func() any]{}
-		expvarFuncMap[name] = p
-		src := p
-		expvar.Publish(name, expvar.Func(func() any {
-			if f := src.Load(); f != nil {
-				return (*f)()
-			}
-			return nil
-		}))
-	}
-	p.Store(&fn)
-}

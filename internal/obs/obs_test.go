@@ -4,7 +4,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/explore"
@@ -19,6 +18,10 @@ func TestMetricsBalanceUnderKills(t *testing.T) {
 	o := New()
 	rt := core.NewRuntime()
 	o.Attach(rt)
+	// Room for every worker's park and then some, so the tap never has
+	// to drop an announcement the wait below needs.
+	parked := &blockedTap{ch: make(chan struct{}, 64)}
+	rt.SetInstrumentation(core.TeeInstrumentation(rt.Instrumentation(), parked))
 
 	const workers = 8
 	const killed = 4
@@ -31,9 +34,8 @@ func TestMetricsBalanceUnderKills(t *testing.T) {
 			}))
 		}
 		// Wait until every worker is parked in its sync.
-		deadline := time.Now().Add(5 * time.Second)
-		for o.Snapshot().Blocks < workers && time.Now().Before(deadline) {
-			time.Sleep(time.Millisecond)
+		for i := 0; i < workers; i++ {
+			<-parked.ch
 		}
 		for i := 0; i < killed; i++ {
 			ths[i].Kill()
@@ -42,8 +44,8 @@ func TestMetricsBalanceUnderKills(t *testing.T) {
 			sem.Post()
 		}
 		for i := killed; i < workers; i++ {
-			for !ths[i].Done() {
-				time.Sleep(time.Millisecond)
+			if _, err := core.Sync(th, ths[i].DoneEvt()); err != nil {
+				t.Error(err)
 			}
 		}
 	})
@@ -80,6 +82,20 @@ func TestMetricsBalanceUnderKills(t *testing.T) {
 	}
 }
 
+// blockedTap announces every Blocked tap — a thread about to park — on
+// ch, without ever blocking the tap (a full ch drops the announcement).
+type blockedTap struct {
+	core.NopInstrumentation
+	ch chan struct{}
+}
+
+func (b *blockedTap) Blocked(*core.Thread) {
+	select {
+	case b.ch <- struct{}{}:
+	default:
+	}
+}
+
 // TestAttachLiveRuntime: a passive instrumentation may be installed on a
 // runtime that already has threads, and counters tick from then on.
 func TestAttachLiveRuntime(t *testing.T) {
@@ -88,9 +104,9 @@ func TestAttachLiveRuntime(t *testing.T) {
 	o := New()
 	err := rt.Run(func(th *core.Thread) {
 		o.Attach(rt) // th exists: this must not panic (det mode unchanged)
-		done := th.Spawn("late", func(*core.Thread) {})
-		for !done.Done() {
-			time.Sleep(time.Millisecond)
+		late := th.Spawn("late", func(*core.Thread) {})
+		if _, err := core.Sync(th, late.DoneEvt()); err != nil {
+			t.Error(err)
 		}
 	})
 	if err != nil {
@@ -98,6 +114,77 @@ func TestAttachLiveRuntime(t *testing.T) {
 	}
 	if s := o.Snapshot(); s.Spawns == 0 || s.Dones == 0 {
 		t.Fatalf("counters did not tick after live attach: %+v", s)
+	}
+}
+
+// TestRecorderRecordsLifecycle: the flight recorder is the runtime's
+// one event log, so every lifecycle transition the runtime reports —
+// spawn, suspend, resume, yoke, break, custodian shutdown, condemn and
+// kill — must land in it.
+func TestRecorderRecordsLifecycle(t *testing.T) {
+	rt := core.NewRuntime()
+	defer rt.Shutdown()
+	o := New()
+	o.Attach(rt)
+	rec := o.EnableRecorder(0)
+	err := rt.Run(func(th *core.Thread) {
+		// park holds a thread parked for good — a break only re-parks it —
+		// so the worker is still alive when TerminateCondemned kills it.
+		never := core.NewSemaphore(rt, 0)
+		park := func(x *core.Thread) {
+			for {
+				_, _ = core.Sync(x, never.WaitEvt())
+			}
+		}
+		c := core.NewCustodian(rt.RootCustodian())
+		var w *core.Thread
+		th.WithCustodian(c, func() { w = th.Spawn("worker", park) })
+		w.Suspend()
+		core.Resume(w)
+		mgr := th.Spawn("mgr", park)
+		core.ResumeVia(mgr, w)
+		w.Break()
+		c.Shutdown()
+		rt.TerminateCondemned()
+	})
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	got := map[EvKind]int{}
+	for _, e := range rec.Snapshot() {
+		got[e.Kind]++
+	}
+	for _, want := range []EvKind{EvSpawn, EvSuspend, EvResume, EvYoke, EvBreak, EvShutdown, EvCondemn, EvKill} {
+		if got[want] == 0 {
+			t.Errorf("no %v event recorded; recorded kinds: %v", want, got)
+		}
+	}
+}
+
+// TestRecorderSequenceIsMonotonic: a recorded flight reads back in write
+// order, one event per spawn and one per finish at least.
+func TestRecorderSequenceIsMonotonic(t *testing.T) {
+	rt := core.NewRuntime()
+	defer rt.Shutdown()
+	o := New()
+	o.Attach(rt)
+	rec := o.EnableRecorder(0)
+	_ = rt.Run(func(th *core.Thread) {
+		for i := 0; i < 20; i++ {
+			w := th.Spawn("w", func(*core.Thread) {})
+			if _, err := core.Sync(th, w.DoneEvt()); err != nil {
+				t.Error(err)
+			}
+		}
+	})
+	events := rec.Snapshot()
+	if len(events) < 40 {
+		t.Fatalf("only %d events", len(events))
+	}
+	for i := 1; i < len(events); i++ {
+		if events[i].Seq <= events[i-1].Seq {
+			t.Fatalf("sequence not monotonic at %d: %+v then %+v", i, events[i-1], events[i])
+		}
 	}
 }
 
