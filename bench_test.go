@@ -629,9 +629,11 @@ func BenchmarkCoreContention(b *testing.B) {
 	}
 }
 
-// BenchmarkNetsvcServedRequest is one served request end to end — pump
-// goroutine → semaphore handoff → session thread Sync → servlet dispatch
-// → write pump, one keep-alive client, sequential requests — under each
+// BenchmarkNetsvcServedRequest is one served request end to end — read
+// pump goroutine → semaphore handoff → session thread Sync → servlet
+// dispatch → inline write(2) by the session thread (the write pump runs
+// only under backpressure, which one sequential client never causes), one
+// keep-alive client, sequential requests — under each
 // instrumentation mode: the obs-on/obs-rec spread against obs-off is the
 // overhead the CI fence bounds (killbench's serve_ping workload is the
 // end-to-end serving measurement). The body-string/body-bytes pair is the zero-copy response

@@ -211,11 +211,14 @@ func TestTerminateReclaimsDeadlineWorker(t *testing.T) {
 	})
 }
 
-// TestConnCostIsOneThreadThreeGoroutines mirrors killbench's per-layer
+// TestConnCostIsOneThreadTwoGoroutines mirrors killbench's per-layer
 // count in the repo's own suite: an idle keep-alive connection costs
-// exactly one runtime thread and three goroutines (session thread, read
-// pump, write pump).
-func TestConnCostIsOneThreadThreeGoroutines(t *testing.T) {
+// exactly one runtime thread and two goroutines (session thread, read
+// pump). The write pump is lazy: responses are written inline while the
+// socket has room, and the pump goroutine starts only at a connection's
+// first backpressure (TestBackpressureStartsWritePump), which small
+// responses never reach.
+func TestConnCostIsOneThreadTwoGoroutines(t *testing.T) {
 	withRuntime(t, func(rt *core.Runtime, th *core.Thread) {
 		const n = 32
 		ws := lifecycleServlets(th, nil)
@@ -229,15 +232,80 @@ func TestConnCostIsOneThreadThreeGoroutines(t *testing.T) {
 		threads, goroutines := rt.LiveThreads(), runtime.NumGoroutine()
 		for i := 0; i < n; i++ {
 			// The response is written only after the session thread and
-			// both pumps exist, so the counts below are already settled.
+			// the read pump exist, so the counts below are already settled.
 			c, _ := dialKeepAlive(t, s.Addr().String(), "/hello", true)
 			defer c.Close()
 		}
 		if got := rt.LiveThreads() - threads; got != n {
 			t.Errorf("%d idle connections added %d runtime threads, want %d", n, got, n)
 		}
-		if got := runtime.NumGoroutine() - goroutines; got != 3*n {
-			t.Errorf("%d idle connections added %d goroutines, want %d", n, got, 3*n)
+		if got := runtime.NumGoroutine() - goroutines; got != 2*n {
+			t.Errorf("%d idle connections added %d goroutines, want %d", n, got, 2*n)
+		}
+	})
+}
+
+// TestIdleTimeoutLazyRearm pins the idle deadline's meaning under the
+// per-connection timer, which is re-armed only when it fires: the
+// deadline is the start of the current wait plus IdleTimeout, whenever
+// the timer happened to be armed. A servlet slower than IdleTimeout
+// leaves a token behind that must not turn into a 408 for the next
+// request, and a connection kept busy for several timer periods still
+// times out one IdleTimeout after it goes quiet — not sooner, and not
+// a whole extra period later.
+func TestIdleTimeoutLazyRearm(t *testing.T) {
+	const idle = 200 * time.Millisecond
+	withRuntime(t, func(rt *core.Runtime, th *core.Thread) {
+		ws := web.NewServer(th)
+		ws.Handle("/hello", func(*core.Thread, *web.Session, *web.Request) web.Response {
+			return web.Response{Status: 200, Body: "hello"}
+		})
+		ws.Handle("/slow", func(x *core.Thread, _ *web.Session, _ *web.Request) web.Response {
+			_ = core.Sleep(x, 2*idle)
+			return web.Response{Status: 200, Body: "slow"}
+		})
+		s, err := netsvc.Serve(th, ws, netsvc.Config{IdleTimeout: idle})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Shutdown(th, time.Second)
+		addr := s.Addr().String()
+		send := func(c net.Conn, path string) {
+			t.Helper()
+			if _, err := fmt.Fprintf(c, "GET %s HTTP/1.1\r\nHost: t\r\n\r\n", path); err != nil {
+				t.Fatal(err)
+			}
+		}
+		expect := func(r *bufio.Reader, want string) {
+			t.Helper()
+			if status, _, err := readResponse(r); err != nil || !strings.Contains(status, want) {
+				t.Fatalf("got %q / %v, want %s", status, err, want)
+			}
+		}
+
+		// A servlet slower than IdleTimeout, then a second request at once.
+		c, r := dialKeepAlive(t, addr, "/slow", true)
+		send(c, "/hello")
+		expect(r, "200")
+		c.Close()
+
+		// Busy for more than two timer periods, then quiet.
+		c, r = dialKeepAlive(t, addr, "/hello", true)
+		defer c.Close()
+		busy := time.Now()
+		for time.Since(busy) < 5*idle/2 {
+			send(c, "/hello")
+			expect(r, "200")
+		}
+		last := time.Now()
+		send(c, "/hello")
+		expect(r, "200")
+		expect(r, "408")
+		if quiet := time.Since(last); quiet < idle || quiet >= 2*idle {
+			t.Fatalf("408 came %v after the last request, want within [%v, %v)", quiet, idle, 2*idle)
+		}
+		if st := s.Stats(); st.TimedOut != 1 {
+			t.Fatalf("%d idle timeouts, want 1", st.TimedOut)
 		}
 	})
 }

@@ -31,8 +31,9 @@
 // S13): the session returning, its thread being killed, and its
 // custodian being shut down all funnel into endConn, which only
 // announces the end; the server's one reaper thread does the cleanup,
-// exactly once. A connection costs one runtime thread and three
-// goroutines (session, read pump, write pump).
+// exactly once. A connection costs one runtime thread and two goroutines
+// (session, read pump); a write pump joins them only once the socket
+// pushes back (see connWriter).
 package netsvc
 
 import (
@@ -220,6 +221,7 @@ type connState struct {
 	sess     *web.Session
 	th       *core.Thread  // session thread
 	done     chan struct{} // closed by endConn: the pumps' exit signal
+	idle     idleTimer     // the session's idle timeout; stopped by endConn
 
 	// Guarded by s.mu.
 	worker    *core.Thread // latest RequestTimeout worker (possibly finished); nil before the first
@@ -560,7 +562,12 @@ func (s *Server) rehomeConn(c net.Conn) {
 // attaches a web session, and spawns the session thread.
 func (s *Server) startConn(th *core.Thread, pc pendingConn) {
 	c := pc.c
-	s.pendingN.Add(-1) // the conn is being served from here on
+	// The conn leaves the pending count only once it is published in
+	// s.conns or refused. DrainShard drains the engine only after the
+	// count reaches zero, so a conn the acceptor already holds is served
+	// (its first request is owed) instead of being refused by the drain
+	// check below.
+	defer s.pendingN.Add(-1)
 	ccust := core.NewCustodian(s.cust)
 	// Move the fd under the connection custodian (register first so the
 	// conn is never uncontrolled; double close on races is harmless).
@@ -573,6 +580,7 @@ func (s *Server) startConn(th *core.Thread, pc pendingConn) {
 	}
 	s.cust.Unregister(c)
 	cs := &connState{c: c, queuedAt: pc.queuedAt, cust: ccust, done: make(chan struct{})}
+	cs.idle.sem = core.NewSemaphore(s.rt, 0)
 
 	// Spawn under s.mu: a session that ends instantly announces itself
 	// through endConn, which needs s.mu, so the reaper cannot see cs before
@@ -610,10 +618,10 @@ func (s *Server) startConn(th *core.Thread, pc pendingConn) {
 }
 
 // endConn announces, once, that a connection is over: it releases the
-// pumps and queues cs for the reaper. It runs in a custodian closer, so
-// it stays plain Go — a mutex-guarded append and a Semaphore.Post, the
-// same outside-the-runtime signalling the pumps use — and never calls
-// back into the runtime.
+// pumps, stops the idle timer, and queues cs for the reaper. It runs in a
+// custodian closer, so it stays plain Go — a mutex-guarded append and a
+// Semaphore.Post, the same outside-the-runtime signalling the pumps use —
+// and never calls back into the runtime.
 func (s *Server) endConn(cs *connState, clean bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -623,6 +631,7 @@ func (s *Server) endConn(cs *connState, clean bool) {
 	}
 	cs.ended = true
 	close(cs.done)
+	cs.idle.stop()
 	s.ended = append(s.ended, cs)
 	s.reap.Post()
 }

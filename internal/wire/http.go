@@ -1,10 +1,13 @@
 package wire
 
 import (
+	"bytes"
 	"fmt"
 	"strconv"
 	"strings"
 	"time"
+	"unicode"
+	"unicode/utf8"
 
 	"repro/internal/web"
 )
@@ -42,21 +45,24 @@ func (httpCodec) Parse(buf []byte) (*Frame, []byte, error) {
 		}
 		return nil, buf, nil
 	}
-	lines := strings.Split(head, "\n")
-	fields := strings.Fields(strings.TrimRight(lines[0], "\r"))
-	if len(fields) < 2 {
-		return nil, rest, fmt.Errorf("malformed request line %q", strings.TrimRight(lines[0], "\r"))
+	line, hdrs, _ := strings.Cut(head, "\n")
+	line = strings.TrimRight(line, "\r")
+	method, more := field(line)
+	target, more := field(more)
+	if target == "" {
+		return nil, rest, fmt.Errorf("malformed request line %q", line)
 	}
-	method, target := fields[0], fields[1]
 	proto := "HTTP/1.0"
-	if len(fields) >= 3 {
-		proto = fields[2]
+	if p, _ := field(more); p != "" {
+		proto = p
 	}
 	// Keep-alive default is the version's: 1.1 persists unless the client
 	// says close; 1.0 closes unless the client says keep-alive.
 	keep := proto == "HTTP/1.1"
 	contentLn := 0
-	for _, ln := range lines[1:] {
+	for hdrs != "" {
+		var ln string
+		ln, hdrs, _ = strings.Cut(hdrs, "\n")
 		ln = strings.TrimRight(ln, "\r")
 		if ln == "" {
 			continue
@@ -66,14 +72,14 @@ func (httpCodec) Parse(buf []byte) (*Frame, []byte, error) {
 			continue
 		}
 		v = strings.TrimSpace(v)
-		switch strings.ToLower(k) {
-		case "connection":
+		switch {
+		case headerIs(k, "connection"):
 			if strings.EqualFold(v, "keep-alive") {
 				keep = true
 			} else if strings.EqualFold(v, "close") {
 				keep = false
 			}
-		case "content-length":
+		case headerIs(k, "content-length"):
 			n, err := strconv.Atoi(v)
 			if err != nil || n < 0 {
 				return nil, rest, fmt.Errorf("bad Content-Length %q", v)
@@ -162,19 +168,47 @@ func (httpCodec) AppendOverload(dst []byte, retryAfter time.Duration, close bool
 }
 
 // cutHead splits buf at the first blank line (CRLF CRLF or LF LF),
-// returning the head and the remainder.
+// returning the head and the remainder. It searches the bytes and copies
+// only the head: the pipelined requests behind it, and an incomplete head
+// that will be parsed again once more bytes arrive, are never copied.
 func cutHead(buf []byte) (head string, rest []byte, ok bool) {
-	s := string(buf)
-	best, sepLen := -1, 0
-	for _, sep := range []string{"\r\n\r\n", "\n\n"} {
-		if i := strings.Index(s, sep); i >= 0 && (best < 0 || i < best) {
-			best, sepLen = i, len(sep)
+	for i := 0; ; {
+		j := bytes.IndexByte(buf[i:], '\n')
+		if j < 0 {
+			return "", buf, false
+		}
+		k := i + j // every separator holds a LF; test both shapes around this one
+		switch {
+		case k > 0 && buf[k-1] == '\r' && k+2 < len(buf) && buf[k+1] == '\r' && buf[k+2] == '\n':
+			return string(buf[:k-1]), buf[k+3:], true
+		case k+1 < len(buf) && buf[k+1] == '\n':
+			return string(buf[:k]), buf[k+2:], true
+		}
+		i = k + 1
+	}
+}
+
+// field returns the first whitespace-separated field of s and what
+// follows it: strings.Fields one field at a time, without building the
+// slice.
+func field(s string) (f, rest string) {
+	s = strings.TrimLeftFunc(s, unicode.IsSpace)
+	if i := strings.IndexFunc(s, unicode.IsSpace); i >= 0 {
+		return s[:i], s[i:]
+	}
+	return s, ""
+}
+
+// headerIs reports whether header name k is name (lower case) in any
+// case. ASCII names compare with strings.EqualFold and allocate nothing;
+// others keep strings.ToLower's folding, under which 'İ' is an 'i'.
+func headerIs(k, name string) bool {
+	for i := 0; i < len(k); i++ {
+		if k[i] >= utf8.RuneSelf {
+			return strings.ToLower(k) == name
 		}
 	}
-	if best < 0 {
-		return "", buf, false
-	}
-	return s[:best], buf[best+sepLen:], true
+	return strings.EqualFold(k, name)
 }
 
 // targetToRequest converts a request target into the servlet router's

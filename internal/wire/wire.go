@@ -9,7 +9,8 @@
 // and never touches a file descriptor — so every wait stays inside the
 // session thread's Sync calls where a kill can land safely. Responses are
 // serialized by *appending whole frames* to a caller-owned batch buffer;
-// the transport hands complete batches to its write pump. A frame
+// the transport writes complete batches (inline, or through its write
+// pump when the socket pushes back). A frame
 // therefore either reaches the wire entirely or not at all: a session
 // killed mid-pipeline can lose the tail of the conversation, but it can
 // never emit a torn frame followed by more traffic.
