@@ -190,8 +190,9 @@ func TestChaosKillStorm(t *testing.T) {
 				}
 				_, _ = core.Sync(th, killer.DoneEvt())
 
-				// Death-watch aborters may still be draining; audit until
-				// the store reports no trace of any killed participant.
+				// The death watch may still be releasing what killed
+				// workers held; audit until the store reports no trace of
+				// any killed participant.
 				deadline := time.Now().Add(5 * time.Second)
 				for {
 					a, err := s.Audit(th)

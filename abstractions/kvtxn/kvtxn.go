@@ -8,13 +8,13 @@
 // manager owning a slice of the keyspace — values, versions, and an
 // exclusive per-key lock table. A store-wide transaction manager owns the
 // transaction registry and, crucially, the *fate* of every commit: a
-// client's Commit is only a rendezvous that hands the write-set to the
-// transaction manager, which marks the transaction committing and spawns a
-// store-owned finisher thread to drive the two-phase install. Once the
-// hand-off rendezvous commits, the client is no longer needed — killing it
-// cannot stop the finisher — and before the rendezvous, the client has
-// published nothing, so killing it aborts cleanly. There is no instant at
-// which a kill yields half a commit.
+// client's Commit takes its own write locks (Locking) and then hands the
+// plan to the transaction manager in one rendezvous, and the manager
+// installs it in the same action that accepts it. Once the hand-off
+// rendezvous commits, the client is no longer needed — killing it cannot
+// stop the install — and before the rendezvous, the client has published
+// nothing, so killing it aborts cleanly. There is no instant at which a
+// kill yields half a commit, and no thread is spawned per transaction.
 //
 // Locks are abortable in the CQS sense ("A Formally-Verified Framework for
 // Fair and Abortable Synchronization"): a kill of a *waiting* lock acquirer
@@ -23,8 +23,8 @@
 // nack guard, so the shard manager either grants the request or observes
 // its abandonment, never both. Locks *held* by a transaction whose owner
 // thread dies are reclaimed by the transaction manager, which folds each
-// live transaction owner's DoneEvt into its own service choice and spawns
-// an aborter to release the dead client's locks (the breaker idiom from
+// live transaction owner's DoneEvt into its own service choice and
+// releases the dead client's locks itself (the breaker idiom from
 // abstractions/breaker, lifted to multi-shard state).
 //
 // Two commit strategies are selectable per store:
@@ -32,13 +32,13 @@
 //   - Locking: interactive two-phase locking. Txn.Get eagerly acquires the
 //     key's exclusive lock (waiting its turn in the shard's FIFO wait list,
 //     with a client-side timeout that converts contention into ErrConflict);
-//     writes are buffered; the finisher acquires write locks shard-by-shard
-//     in sorted order, installs, and releases.
+//     writes are buffered; Commit acquires the write locks shard-by-shard
+//     in sorted order, and the transaction manager installs and releases.
 //   - OCC: Txn.Get is a snapshot read (value + version, no lock); Commit
 //     validates the read-set and installs the write-set — atomically inside
 //     one shard manager when the transaction touches a single shard, or via
-//     a prepare/finish round driven by a finisher when it spans shards,
-//     with the lock table doubling as prepare-marks.
+//     a prepare/finish round driven by the transaction manager when it
+//     spans shards, with the lock table doubling as prepare-marks.
 //
 // All manager threads are kill-safe in the paper's sense: every operation
 // guards with ResumeVia, so the managers can execute whenever any of their
@@ -62,7 +62,7 @@ type Strategy int
 const (
 	// Locking is interactive two-phase locking: reads take exclusive
 	// per-key locks as they happen; commit locks the write-set and
-	// installs under a store-owned finisher.
+	// installs under the transaction manager.
 	Locking Strategy = iota
 	// OCC is optimistic concurrency: reads are unlocked snapshots;
 	// commit validates versions and installs, aborting on conflict.
@@ -93,15 +93,15 @@ type Options struct {
 	Shards int
 	// Strategy selects the commit protocol (default Locking).
 	Strategy Strategy
-	// LockWait bounds how long a client or finisher waits for a
-	// contended lock before converting the wait into ErrConflict
-	// (default 100ms). In deterministic mode the timeout is a virtual
-	// alarm, so the explorer can drive a stuck acquire past it.
+	// LockWait bounds how long a client waits for a contended lock
+	// before converting the wait into ErrConflict (default 100ms). In
+	// deterministic mode the timeout is a virtual alarm, so the explorer
+	// can drive a stuck acquire past it.
 	LockWait time.Duration
 	// OnCommit, if set, is called with the transaction id on the thread
 	// that decides the commit (the shard manager for the OCC single-shard
-	// fast path, the finisher otherwise), in commit order per shard. The
-	// deterministic replay test uses it to pin commit ordering.
+	// fast path, the transaction manager otherwise), in commit order per
+	// shard. The deterministic replay test uses it to pin commit ordering.
 	OnCommit func(txn uint64)
 }
 

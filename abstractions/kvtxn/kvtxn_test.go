@@ -7,6 +7,7 @@ import (
 
 	"repro/abstractions/kvtxn"
 	"repro/internal/core"
+	"repro/internal/obs"
 )
 
 func withRuntime(t *testing.T, fn func(*core.Runtime, *core.Thread)) {
@@ -61,7 +62,7 @@ func TestTxnCommitMultiShard(t *testing.T) {
 			withRuntime(t, func(rt *core.Runtime, th *core.Thread) {
 				s := kvtxn.NewWith(th, kvtxn.Options{Strategy: strat, Shards: 4})
 				// Spread writes across every shard so the commit exercises
-				// the multi-shard finisher path.
+				// the transaction manager's multi-shard install.
 				tx, err := s.Begin(th)
 				if err != nil {
 					t.Fatal(err)
@@ -245,12 +246,17 @@ func TestKillAfterCommitHandoffStillCommits(t *testing.T) {
 	for _, strat := range strategies() {
 		t.Run(strat.String(), func(t *testing.T) {
 			withRuntime(t, func(rt *core.Runtime, th *core.Thread) {
-				s := kvtxn.NewWith(th, kvtxn.Options{Strategy: strat, Shards: 4})
-				// The victim hands off a multi-shard commit and is killed
-				// while (possibly) waiting for the verdict. The store-owned
-				// finisher must complete the commit anyway: all 16 keys
-				// appear, or — only if the kill outran the hand-off
-				// rendezvous itself — none do.
+				// OnCommit runs on the transaction manager once the
+				// hand-off has committed, so the kill it triggers lands
+				// strictly after the hand-off — while the manager may
+				// still be installing. The manager must complete the
+				// commit anyway: all 16 keys appear.
+				handedOff := core.NewExternal(rt)
+				s := kvtxn.NewWith(th, kvtxn.Options{
+					Strategy: strat,
+					Shards:   4,
+					OnCommit: func(txn uint64) { handedOff.Complete(txn) },
+				})
 				victim := th.Spawn("victim", func(x *core.Thread) {
 					tx, err := s.Begin(x)
 					if err != nil {
@@ -261,9 +267,13 @@ func TestKillAfterCommitHandoffStillCommits(t *testing.T) {
 					}
 					_ = tx.Commit(x)
 				})
-				time.Sleep(time.Millisecond)
+				if _, err := core.Sync(th, handedOff.Evt()); err != nil {
+					t.Fatal(err)
+				}
 				victim.Kill()
-				waitUntil(t, "victim gone", victim.Done)
+				if _, err := core.Sync(th, victim.DoneEvt()); err != nil {
+					t.Fatal(err)
+				}
 				waitUntil(t, "store quiesced", func() bool {
 					audit, err := s.Audit(th)
 					return err == nil && audit == kvtxn.Integrity{}
@@ -274,11 +284,153 @@ func TestKillAfterCommitHandoffStillCommits(t *testing.T) {
 						present++
 					}
 				}
-				if present != 0 && present != 16 {
-					t.Fatalf("half-commit: %d of 16 keys present", present)
+				if present != 16 {
+					t.Fatalf("%d of 16 keys present after a kill past the hand-off, want 16", present)
+				}
+				if c := s.Counters(); c.Commits != 1 || c.KillAborts != 0 {
+					t.Fatalf("commits = %d, killAborts = %d; want 1, 0", c.Commits, c.KillAborts)
 				}
 			})
 		})
+	}
+}
+
+// A Locking client killed while Commit waits for one of its write locks
+// has not handed off: the transaction aborts through the death watch,
+// exactly as if the client had died waiting for a read lock in Get. It
+// writes no key, including those in shards whose write locks it already
+// held, and leaves nothing behind.
+func TestKillWaitingForWriteLockAborts(t *testing.T) {
+	withRuntime(t, func(rt *core.Runtime, th *core.Thread) {
+		s := kvtxn.NewWith(th, kvtxn.Options{Strategy: kvtxn.Locking, Shards: 4, LockWait: time.Hour})
+		// The holder locks a key of the last shard, so the victim takes
+		// the write locks of every earlier shard before it parks.
+		blocked := "k0"
+		for i := 0; i < 16; i++ {
+			if k := fmt.Sprintf("k%d", i); s.ShardOf(k) > s.ShardOf(blocked) {
+				blocked = k
+			}
+		}
+		holder, err := s.Begin(th)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := holder.Get(th, blocked); err != nil {
+			t.Fatal(err)
+		}
+		victim := th.Spawn("victim", func(x *core.Thread) {
+			tx, err := s.Begin(x)
+			if err != nil {
+				return
+			}
+			for i := 0; i < 16; i++ {
+				_ = tx.Put(fmt.Sprintf("k%d", i), "evil")
+			}
+			_ = tx.Commit(x)
+		})
+		waitUntil(t, "victim parked on the write lock", func() bool {
+			audit, err := s.Audit(th)
+			return err == nil && audit.WaitingReqs == 1
+		})
+		victim.Kill()
+		if _, err := core.Sync(th, victim.DoneEvt()); err != nil {
+			t.Fatal(err)
+		}
+		if err := holder.Abort(th); err != nil {
+			t.Fatal(err)
+		}
+		waitUntil(t, "store quiesced", func() bool {
+			audit, err := s.Audit(th)
+			return err == nil && audit == kvtxn.Integrity{}
+		})
+		for i := 0; i < 16; i++ {
+			if _, found, _ := s.Get(th, fmt.Sprintf("k%d", i)); found {
+				t.Fatalf("k%d written by a transaction killed before its hand-off", i)
+			}
+		}
+		if c := s.Counters(); c.KillAborts != 1 || c.Commits != 0 {
+			t.Fatalf("killAborts = %d, commits = %d; want 1, 0", c.KillAborts, c.Commits)
+		}
+	})
+}
+
+// The transaction manager finishes commits, aborts and dead owners
+// itself: no thread is spawned per transaction, whatever its outcome.
+func TestNoThreadPerTransaction(t *testing.T) {
+	const n = 100
+	o := obs.New()
+	rt := core.NewRuntime()
+	o.Attach(rt)
+	defer rt.Shutdown()
+	err := rt.Run(func(th *core.Thread) {
+		lock := kvtxn.NewWith(th, kvtxn.Options{Strategy: kvtxn.Locking, Shards: 4})
+		occ := kvtxn.NewWith(th, kvtxn.Options{Strategy: kvtxn.OCC, Shards: 4})
+		// A short LockWait keeps a hundred timeouts cheap; only the
+		// conflict leg uses this store.
+		contended := kvtxn.NewWith(th, kvtxn.Options{Strategy: kvtxn.Locking, Shards: 4, LockWait: 2 * time.Millisecond})
+		multiShard := func(s *kvtxn.Store) error {
+			tx, err := s.Begin(th)
+			if err != nil {
+				return err
+			}
+			for i := 0; i < 8; i++ {
+				_ = tx.Put(fmt.Sprintf("k%d", i), "v")
+			}
+			return tx.Commit(th)
+		}
+		before := o.Snapshot().Spawns
+		for i := 0; i < n; i++ {
+			if err := multiShard(lock); err != nil {
+				t.Fatalf("locking commit: %v", err)
+			}
+			if err := multiShard(occ); err != nil {
+				t.Fatalf("OCC commit: %v", err)
+			}
+			tx, _ := lock.Begin(th)
+			if _, _, err := tx.Get(th, "k0"); err != nil {
+				t.Fatal(err)
+			}
+			if err := tx.Abort(th); err != nil {
+				t.Fatalf("abort: %v", err)
+			}
+			// A lock-timeout conflict: the holder keeps k1 locked while
+			// a second transaction's Commit waits LockWait for it. The
+			// holder's own uncontended Get may lose its short wait to a
+			// slow scheduler; that is noise, so it retries.
+			holder, _ := contended.Begin(th)
+			for {
+				_, _, err := holder.Get(th, "k1")
+				if err == nil {
+					break
+				}
+				if err != kvtxn.ErrConflict {
+					t.Fatal(err)
+				}
+			}
+			if err := multiShard(contended); err != kvtxn.ErrConflict {
+				t.Fatalf("contended commit = %v, want ErrConflict", err)
+			}
+			if err := holder.Commit(th); err != nil {
+				t.Fatalf("holder commit: %v", err)
+			}
+		}
+		if d := o.Snapshot().Spawns - before; d != 0 {
+			t.Fatalf("%d threads spawned across %d transactions of each kind, want 0", d, n)
+		}
+		for _, s := range []*kvtxn.Store{lock, occ, contended} {
+			if a, err := s.Audit(th); err != nil || a != (kvtxn.Integrity{}) {
+				t.Fatalf("%v audit: %+v, %v", s.Strategy(), a, err)
+			}
+		}
+		if c := lock.Counters(); c.Commits != n || c.Aborts != n {
+			t.Fatalf("locking counters: %+v, want %d commits and %d aborts", c, n, n)
+		}
+		if c := contended.Counters(); c.Commits != n || c.Aborts != n {
+			t.Fatalf("contended counters: %+v, want %d commits and %d aborts", c, n, n)
+		}
+	})
+	if err != nil {
+		t.Fatalf("Run: %v", err)
 	}
 }
 

@@ -10,24 +10,24 @@ import (
 type reqKind int
 
 const (
-	// Serviced at dequeue time (mutate-then-reply; the sender is either a
-	// store-owned finisher that never abandons its reply, or — for reqGet
-	// and reqOCCCommit — a client whose desertion after the request
+	// Serviced at dequeue time (mutate-then-reply; the sender is either
+	// the transaction manager, which never abandons its reply, or — for
+	// reqGet and reqOCCCommit — a client whose desertion after the request
 	// rendezvous is semantically "after the operation happened").
-	reqGet       reqKind = iota // committed snapshot read
-	reqOCCCommit                // single-shard validate + install, atomically
-	reqInstall                  // finisher: apply writes, release txn's locks here
-	reqRelease                  // aborter/finisher: release txn's locks + prepares
-	reqOCCPrepare               // finisher: validate reads, prepare-lock writes
-	reqOCCFinish                // finisher: install (or discard) prepared writes
-	reqAudit                    // integrity self-report
+	reqGet        reqKind = iota // committed snapshot read
+	reqOCCCommit                 // single-shard validate + install, atomically
+	reqInstall                   // manager: apply writes, release txn's locks here
+	reqRelease                   // manager: release txn's locks + prepares (abort, dead owner)
+	reqOCCPrepare                // manager: validate reads, prepare-lock writes
+	reqOCCFinish                 // manager: install (or discard) prepared writes
+	reqAudit                     // integrity self-report
 
 	// Parked in the wait list until serviceable; the grant mutates only in
 	// the reply arm's action, so an abandoned waiter (nack) leaves no
 	// trace — the CQS abortable-waiter semantics.
 	reqSet      // autocommit write: wait for key to be unlocked
 	reqLockGet  // locking txn: acquire exclusive key lock + read
-	reqLockKeys // finisher: acquire the txn's write locks in this shard
+	reqLockKeys // locking commit: acquire the txn's write locks in this shard
 )
 
 // writeOp is one buffered mutation of a transaction's write-set.
@@ -53,9 +53,8 @@ type shardReq struct {
 	key      string
 	val      string
 	del      bool
-	keys     []string    // reqLockKeys
 	reads    []readCheck // occ validation entries owned by this shard
-	writes   []writeOp   // reqInstall / reqOCCPrepare
+	writes   []writeOp   // reqInstall / reqOCCPrepare / reqLockKeys
 	commitIt bool        // reqOCCFinish: install (true) or discard
 
 	out    *core.Chan
@@ -267,15 +266,15 @@ func (sh *shardMgr) serve(mgr *core.Thread) {
 				}
 			})
 		case reqLockKeys:
-			for _, k := range r.keys {
-				if l := locks[k]; l != 0 && l != r.txn {
+			for _, w := range r.writes {
+				if l := locks[w.key]; l != 0 && l != r.txn {
 					return nil
 				}
 			}
 			return core.Wrap(r.out.SendEvt(okReply{ok: true}), func(core.Value) core.Value {
 				return func() {
-					for _, k := range r.keys {
-						lock(r.txn, k)
+					for _, w := range r.writes {
+						lock(r.txn, w.key)
 					}
 					remove(&wait, r)
 				}

@@ -116,7 +116,8 @@ func (t *Txn) bufferWrite(w writeOp) error {
 }
 
 // plan groups the transaction's footprint by shard, sorted by shard
-// index.
+// index. Under Locking a shard the transaction only read from still gets
+// an entry: its read locks are released there at commit.
 func (t *Txn) plan() []shardPlan {
 	byShard := make(map[int]*shardPlan)
 	at := func(shard int) *shardPlan {
@@ -133,7 +134,7 @@ func (t *Txn) plan() []shardPlan {
 		}
 	}
 	for shard := range t.touched {
-		at(shard).touched = true
+		at(shard)
 	}
 	for _, key := range t.wOrder {
 		at(t.s.ShardOf(key)).writes = append(at(t.s.ShardOf(key)).writes, t.writeSet[key])
@@ -146,44 +147,60 @@ func (t *Txn) plan() []shardPlan {
 	return plans
 }
 
-// Commit submits the transaction. Under Locking and multi-shard OCC this
-// is a single rendezvous handing the plan to the transaction manager:
-// once that rendezvous commits, a store-owned finisher drives the install
-// to completion and the client is dispensable — kill it and the
-// transaction still commits atomically. Before the rendezvous, the nack
-// guarantee withdraws the request and the death watch releases any locks:
-// the transaction never happened. ErrConflict means validation or lock
-// acquisition failed and nothing was installed.
+// Commit submits the transaction. Under Locking the client first takes
+// its write locks itself, shard by shard in sorted order, each wait an
+// abortable one bounded by LockWait — exactly like the read locks Get
+// takes, so a kill there aborts the transaction through the death watch,
+// and a timeout aborts it and reports ErrConflict. Then, under Locking
+// and multi-shard OCC, one rendezvous hands the plan to the transaction
+// manager: the hand-off is the commit point. Once that rendezvous
+// commits, the manager finishes the transaction in the same action and
+// the client is dispensable — kill it and the transaction still commits
+// atomically. Before the rendezvous, the nack guarantee withdraws the
+// request and the death watch releases any locks: the transaction never
+// happened. ErrConflict means validation or lock acquisition failed and
+// nothing was installed.
 func (t *Txn) Commit(th *core.Thread) error {
 	if t.finished {
 		return ErrTxnDone
 	}
 	t.finished = true
 	plan := t.plan()
-	if len(plan) == 0 {
-		// Empty transaction: nothing to install, but a Locking Begin
-		// registered with the transaction manager — retire the entry or
-		// it lingers until the owner thread dies (and then miscounts as
-		// a kill-abort).
-		if t.s.opts.Strategy == Locking {
-			t.s.tm.retire(th, t.id)
+	if t.s.opts.Strategy == OCC {
+		switch len(plan) {
+		case 0:
+			t.s.commits.Add(1)
+			return nil
+		case 1:
+			// Single-shard fast path: validate + install atomically inside
+			// the one shard manager, no transaction-manager round trip.
+			p := plan[0]
+			v, err := t.s.shardRequest(th, t.s.shards[p.shard], &shardReq{kind: reqOCCCommit, txn: t.id, reads: p.reads, writes: p.writes}, 0)
+			if err != nil {
+				return err
+			}
+			if !v.(okReply).ok {
+				t.s.aborts.Add(1)
+				return ErrConflict
+			}
+			return nil
 		}
-		t.s.commits.Add(1)
-		return nil
-	}
-	if t.s.opts.Strategy == OCC && len(plan) == 1 {
-		// Single-shard fast path: validate + install atomically inside
-		// the one shard manager, no transaction-manager round trip.
-		p := plan[0]
-		v, err := t.s.shardRequest(th, t.s.shards[p.shard], &shardReq{kind: reqOCCCommit, txn: t.id, reads: p.reads, writes: p.writes}, 0)
-		if err != nil {
-			return err
+	} else {
+		for _, p := range plan {
+			if len(p.writes) == 0 {
+				continue
+			}
+			v, err := t.s.shardRequest(th, t.s.shards[p.shard], &shardReq{kind: reqLockKeys, txn: t.id, writes: p.writes}, t.s.opts.LockWait)
+			if err != nil {
+				return err
+			}
+			if _, timedOut := v.(lockTimeout); timedOut {
+				if err := t.abort(th); err != nil {
+					return err
+				}
+				return ErrConflict
+			}
 		}
-		if !v.(okReply).ok {
-			t.s.aborts.Add(1)
-			return ErrConflict
-		}
-		return nil
 	}
 	v, err := t.s.tm.request(th, &txnReq{kind: tmCommit, txn: t.id, plan: plan})
 	if err != nil {
@@ -201,6 +218,10 @@ func (t *Txn) Abort(th *core.Thread) error {
 		return ErrTxnDone
 	}
 	t.finished = true
+	return t.abort(th)
+}
+
+func (t *Txn) abort(th *core.Thread) error {
 	t.s.aborts.Add(1)
 	if t.s.opts.Strategy != Locking {
 		return nil // nothing in the store belongs to an uncommitted OCC txn

@@ -160,8 +160,8 @@ func cmdRecord(args []string) {
 	}
 	sc := lookup(*name)
 	if opts.FaultProb == 0 {
-		// Mirror Explore's default so `record -seed N` reproduces the
-		// same schedule `run` explored for seed N.
+		// Mirror the sweep's default so `record -seed N` reproduces the
+		// same schedule a uniform `run` explored for seed N.
 		opts.FaultProb = 0.25
 	}
 	o := explore.RunOnce(sc, explore.NewRandomPicker(*seed, opts.FaultProb), *seed, *opts)

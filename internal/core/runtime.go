@@ -71,6 +71,11 @@ type Runtime struct {
 	valarms    []valarm    // virtual alarm registrations, guarded by mu
 	extq       []*External // queued external completions, guarded by mu
 	nextCustID int64
+
+	// walkSeq numbers the walks over the yoke graph (custodian grants
+	// and resumes); a thread whose walkMark equals the current walk's
+	// number has been visited. Guarded by mu.
+	walkSeq uint64
 }
 
 // NewRuntime creates a fresh runtime with a root custodian.
@@ -97,6 +102,13 @@ func (rt *Runtime) SetPanicHandler(h func(*Thread, *ThreadPanicError)) {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
 	rt.panicHandler = h
+}
+
+// newWalkLocked starts a yoke-graph walk and returns its mark. Caller
+// holds rt.mu.
+func (rt *Runtime) newWalkLocked() uint64 {
+	rt.walkSeq++
+	return rt.walkSeq
 }
 
 func (rt *Runtime) nextThreadID() int64 {

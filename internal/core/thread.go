@@ -80,6 +80,9 @@ type Thread struct {
 	// yokedOwners is the reverse index, used to unlink finished threads.
 	beneficiaries map[*Thread]struct{}
 	yokedOwners   map[*Thread]struct{}
+	// walkMark is the number of the last yoke-graph walk that visited
+	// the thread (see Runtime.newWalkLocked).
+	walkMark uint64
 
 	explicitSuspend bool
 	done            bool
@@ -370,14 +373,10 @@ func (t *Thread) Custodians() []*Custodian {
 // addCustodianLocked grants the thread a (live) controlling custodian and
 // propagates the grant to the thread's beneficiaries, per the yoking
 // semantics of two-argument thread-resume. Caller holds rt.mu.
-func (t *Thread) addCustodianLocked(c *Custodian, visited map[*Thread]struct{}) {
-	if c == nil || c.dead || t.done {
+func (t *Thread) addCustodianLocked(c *Custodian, walk uint64) {
+	if c == nil || c.dead || t.done || t.visitLocked(walk) {
 		return
 	}
-	if _, ok := visited[t]; ok {
-		return
-	}
-	visited[t] = struct{}{}
 	if _, ok := t.custodians[c]; !ok {
 		t.custodians[c] = struct{}{}
 		c.threads[t] = struct{}{}
@@ -387,13 +386,23 @@ func (t *Thread) addCustodianLocked(c *Custodian, visited map[*Thread]struct{}) 
 		// Wake-ups can commit syncs; visit beneficiaries in id order so
 		// deterministic runs do not depend on map iteration order.
 		for _, b := range sortedThreads(t.beneficiaries) {
-			b.addCustodianLocked(c, visited)
+			b.addCustodianLocked(c, walk)
 		}
 		return
 	}
 	for b := range t.beneficiaries {
-		b.addCustodianLocked(c, visited)
+		b.addCustodianLocked(c, walk)
 	}
+}
+
+// visitLocked marks the thread as visited by walk and reports whether
+// the walk had already visited it. Caller holds rt.mu.
+func (t *Thread) visitLocked(walk uint64) bool {
+	if t.walkMark == walk {
+		return true
+	}
+	t.walkMark = walk
+	return false
 }
 
 // wakeIfRunnableLocked re-enables a thread that may have just stopped
@@ -417,11 +426,10 @@ func (t *Thread) wakeIfRunnableLocked() {
 
 // resumeLocked clears explicit suspension (the thread still cannot run if
 // it has no custodian) and recursively resumes beneficiaries.
-func (t *Thread) resumeLocked(visited map[*Thread]struct{}) {
-	if _, ok := visited[t]; ok {
+func (t *Thread) resumeLocked(walk uint64) {
+	if t.visitLocked(walk) {
 		return
 	}
-	visited[t] = struct{}{}
 	if !t.done {
 		if t.explicitSuspend {
 			t.rt.traceLocked(TraceResume, t)
@@ -431,12 +439,12 @@ func (t *Thread) resumeLocked(visited map[*Thread]struct{}) {
 	}
 	if t.rt.det.Load() {
 		for _, b := range sortedThreads(t.beneficiaries) {
-			b.resumeLocked(visited)
+			b.resumeLocked(walk)
 		}
 		return
 	}
 	for b := range t.beneficiaries {
-		b.resumeLocked(visited)
+		b.resumeLocked(walk)
 	}
 }
 
@@ -503,7 +511,7 @@ func Resume(t *Thread) {
 	if len(t.custodians) == 0 {
 		return
 	}
-	t.resumeLocked(make(map[*Thread]struct{}))
+	t.resumeLocked(t.rt.newWalkLocked())
 }
 
 // ResumeWith adds custodian c to the thread's set of controllers (and, by
@@ -514,9 +522,9 @@ func ResumeWith(t *Thread, c *Custodian) {
 	}
 	t.rt.mu.Lock()
 	defer t.rt.mu.Unlock()
-	t.addCustodianLocked(c, make(map[*Thread]struct{}))
+	t.addCustodianLocked(c, t.rt.newWalkLocked())
 	if len(t.custodians) > 0 {
-		t.resumeLocked(make(map[*Thread]struct{}))
+		t.resumeLocked(t.rt.newWalkLocked())
 	}
 }
 
@@ -551,15 +559,15 @@ func ResumeVia(t, by *Thread) {
 	}
 	if t.rt.det.Load() {
 		for _, c := range sortedCustodians(by.custodians) {
-			t.addCustodianLocked(c, make(map[*Thread]struct{}))
+			t.addCustodianLocked(c, t.rt.newWalkLocked())
 		}
 	} else {
 		for c := range by.custodians {
-			t.addCustodianLocked(c, make(map[*Thread]struct{}))
+			t.addCustodianLocked(c, t.rt.newWalkLocked())
 		}
 	}
 	if len(t.custodians) > 0 {
-		t.resumeLocked(make(map[*Thread]struct{}))
+		t.resumeLocked(t.rt.newWalkLocked())
 	}
 }
 
@@ -592,11 +600,11 @@ func SpawnYoked(owner *Thread, name string, fn func(*Thread)) *Thread {
 	th.yokedOwners[owner] = struct{}{}
 	if rt.det.Load() {
 		for _, c := range sortedCustodians(owner.custodians) {
-			th.addCustodianLocked(c, make(map[*Thread]struct{}))
+			th.addCustodianLocked(c, rt.newWalkLocked())
 		}
 	} else {
 		for c := range owner.custodians {
-			th.addCustodianLocked(c, make(map[*Thread]struct{}))
+			th.addCustodianLocked(c, rt.newWalkLocked())
 		}
 	}
 	rt.wg.Add(1)

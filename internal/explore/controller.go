@@ -9,8 +9,9 @@
 // advanced) is recorded as a Trace that replays bit-identically, and a
 // greedy shrinker minimizes failing traces. Fault injection (Kill,
 // Suspend, Resume, Break, custodian Shutdown at explorer-chosen safe
-// points) turns the runtime's chaos tests into a search: Explore runs N
-// seeded schedules and hands back a replay file for the first failure.
+// points) turns the runtime's chaos tests into a search: a sweep
+// (fleet.Run) runs N seeded schedules and hands back a shrunk replay
+// file for the first failure.
 package explore
 
 import (

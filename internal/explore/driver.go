@@ -48,7 +48,7 @@ var coverageTiers = []int{0, 1, 1, 2, 2, 3, 3, 4, 6, -1}
 
 // Driver generates exploration jobs and digests their results. It owns
 // the coverage map and the mutation frontier; it is the deterministic
-// heart shared by the in-process Explore and the multi-process fleet.
+// heart of the fleet's sweep.
 // Feed results back in job-ID order (Observe) and the same options
 // produce the same job stream on every run, whatever executed them.
 // Not safe for concurrent use.

@@ -2,7 +2,6 @@ package explore
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"repro/internal/core"
@@ -116,7 +115,8 @@ func (s Status) String() string {
 // Options bound a run and configure a sweep. The per-run fields
 // (MaxSteps, FaultBudget, StepTimeout, FaultProb, Instrument, Lenient)
 // apply to every schedule; the sweep fields (Seeds, BaseSeed, Budget,
-// Strategy, Workers) drive Explore.
+// Strategy) drive the Driver, and Workers sizes the fleet that runs it
+// (package fleet).
 type Options struct {
 	// MaxSteps caps the number of decisions before the run is declared
 	// Budget. Default 500.
@@ -141,7 +141,7 @@ type Options struct {
 	// forensics replay leniently; regression pins replay strictly.
 	Lenient bool
 
-	// Seeds caps the number of schedules an Explore sweep runs.
+	// Seeds caps the number of schedules a sweep runs.
 	// Default 100.
 	Seeds int
 	// BaseSeed is the first fresh seed (fresh schedules use BaseSeed,
@@ -153,10 +153,11 @@ type Options struct {
 	// Strategy selects uniform seed sweeping or coverage-guided
 	// exploration. Default StrategyUniform.
 	Strategy Strategy
-	// Workers is the number of in-process worker goroutines Explore
-	// runs schedules on (each schedule still executes sequentially on
-	// its own deterministic runtime). Default 1. Process-level workers
-	// are the fleet package's job.
+	// Workers is the number of fleet workers fleet.Run shards schedules
+	// across (each schedule still executes sequentially on its own
+	// deterministic runtime). Default 1. It never changes which
+	// schedules run: the fleet's job stream is a pure function of the
+	// other fields.
 	Workers int
 }
 
@@ -178,9 +179,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.BaseSeed == 0 {
 		o.BaseSeed = 1
-	}
-	if o.Workers <= 0 {
-		o.Workers = 1
 	}
 	return o
 }
@@ -381,106 +379,4 @@ func Replay(sc Scenario, tr *Trace, opts Options) *Outcome {
 	p := NewReplayPicker(tr)
 	p.Lenient = opts.Lenient
 	return RunOnce(sc, p, tr.Seed, opts)
-}
-
-// Report aggregates an exploration sweep.
-type Report struct {
-	Scenario  string
-	Schedules int
-	Steps     int
-	Faults    int
-	Outcomes  map[Status]int
-	// Distinct counts the distinct schedule footprints (Footprint
-	// hashes) the sweep observed — the "distinct interleavings" a
-	// strategy is buying with its budget.
-	Distinct int
-	// Elapsed is the sweep's wall-clock time.
-	Elapsed time.Duration
-	// FirstFailure is the first failing outcome in job order (nil if
-	// every schedule passed) and FirstFailureSeed the seed that
-	// produced it.
-	FirstFailure     *Outcome
-	FirstFailureSeed int64
-}
-
-// outcome rehydrates a JobResult into an Outcome (Err becomes opaque).
-func (r JobResult) outcome() *Outcome {
-	o := &Outcome{Status: r.Status, Trace: r.Trace, Steps: r.Steps, Faults: r.Faults}
-	if r.Err != "" {
-		o.Err = fmt.Errorf("%s", r.Err)
-	}
-	return o
-}
-
-// Explore sweeps schedules of sc as configured by opts — Seeds
-// schedules from BaseSeed under the chosen Strategy, across Workers
-// in-process workers, within Budget — and stops at the first failing
-// outcome (in job order), which carries the replayable trace. Results
-// are digested in job order, so a sweep is reproducible for a given
-// Options regardless of worker count.
-func Explore(sc Scenario, opts Options) *Report {
-	opts = opts.withDefaults()
-	d := NewDriver(opts)
-	rep := &Report{Scenario: sc.Name, Outcomes: make(map[Status]int)}
-
-	jobs := make(chan Job, opts.Workers)
-	results := make(chan JobResult, opts.Workers)
-	var wg sync.WaitGroup
-	for i := 0; i < opts.Workers; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := range jobs {
-				results <- j.Run(sc, opts)
-			}
-		}()
-	}
-
-	pending := make(map[int64]JobResult)
-	var nextObs int64
-	inflight := 0
-	for {
-		for inflight < opts.Workers {
-			j, ok := d.Next()
-			if !ok {
-				break
-			}
-			jobs <- j
-			inflight++
-		}
-		if inflight == 0 {
-			break
-		}
-		res := <-results
-		inflight--
-		pending[res.ID] = res
-		for {
-			r, ok := pending[nextObs]
-			if !ok {
-				break
-			}
-			delete(pending, nextObs)
-			nextObs++
-			d.Observe(r)
-			rep.Schedules++
-			rep.Steps += r.Steps
-			rep.Faults += r.Faults
-			rep.Outcomes[r.Status]++
-			if rep.FirstFailure == nil && r.Failing() {
-				rep.FirstFailure = r.outcome()
-				if r.Trace != nil {
-					rep.FirstFailureSeed = r.Trace.Seed
-				}
-				d.Stop()
-			}
-		}
-		if rep.FirstFailure != nil && inflight == 0 {
-			break
-		}
-	}
-	close(jobs)
-	wg.Wait()
-	rep.Distinct = d.Distinct()
-	rep.Elapsed = d.Elapsed()
-	return rep
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/explore"
+	"repro/internal/explore/fleet"
 	"repro/internal/explore/scenarios"
 )
 
@@ -52,32 +53,39 @@ func TestRecordedRunReplays(t *testing.T) {
 }
 
 // The explorer must find the unsafe queue's wedge within a bounded seed
-// budget, the failing trace must replay to the same wedge, and the
+// budget, the failing schedule must replay to the same wedge, and the
 // shrinker must cut it to a handful of decisions.
 func TestExplorerFindsUnsafeQueueWedge(t *testing.T) {
 	sc := scenarios.QueueUnsafe()
-	rep := explore.Explore(sc, explore.Options{Seeds: 100, BaseSeed: 1})
-	if rep.FirstFailure == nil {
+	rep, err := fleet.Run(sc, explore.Options{Seeds: 100, BaseSeed: 1}, fleet.Config{})
+	if err != nil {
+		t.Fatalf("fleet run: %v", err)
+	}
+	if len(rep.Findings) == 0 {
 		t.Fatalf("no wedge found in %d schedules (outcomes: %v)", rep.Schedules, rep.Outcomes)
 	}
-	if rep.FirstFailure.Status != explore.StatusStuck {
-		t.Fatalf("failure status %v (err=%v), want stuck", rep.FirstFailure.Status, rep.FirstFailure.Err)
+	f := rep.Findings[0]
+	if f.Status != explore.StatusStuck {
+		t.Fatalf("finding status %v (err=%s), want stuck", f.Status, f.Err)
 	}
-	t.Logf("wedge found at seed %d after %d schedules (%d decisions)",
-		rep.FirstFailureSeed, rep.Schedules, len(rep.FirstFailure.Trace.Actions))
+	t.Logf("wedge found at seed %d after %d schedules (%d decisions)", f.Seed, rep.Schedules, f.ShrunkFrom)
 
-	r := explore.Replay(sc, rep.FirstFailure.Trace, explore.Options{})
+	// A uniform sweep runs seed s with RandomPicker(s): record that
+	// schedule again and replay it strictly.
+	o := explore.RunOnce(sc, explore.NewRandomPicker(f.Seed, 0.25), f.Seed, explore.Options{})
+	if len(o.Trace.Actions) != f.ShrunkFrom {
+		t.Fatalf("seed %d re-recorded %d decisions, the sweep saw %d", f.Seed, len(o.Trace.Actions), f.ShrunkFrom)
+	}
+	r := explore.Replay(sc, o.Trace, explore.Options{})
 	if r.Status != explore.StatusStuck {
 		t.Fatalf("strict replay of wedge trace: status %v (err=%v), want stuck", r.Status, r.Err)
 	}
 
-	shrunk, replays := explore.Shrink(sc, rep.FirstFailure.Trace, explore.Options{}, nil)
-	t.Logf("shrunk %d -> %d decisions in %d replays:\n%s",
-		len(rep.FirstFailure.Trace.Actions), len(shrunk.Actions), replays, shrunk.EncodeToString())
-	if len(shrunk.Actions) > 20 {
-		t.Fatalf("shrunk trace has %d decisions, want <= 20", len(shrunk.Actions))
+	t.Logf("shrunk %d -> %d decisions:\n%s", f.ShrunkFrom, len(f.Trace.Actions), f.Trace.EncodeToString())
+	if len(f.Trace.Actions) > 20 {
+		t.Fatalf("shrunk trace has %d decisions, want <= 20", len(f.Trace.Actions))
 	}
-	s := explore.Replay(sc, shrunk, explore.Options{Lenient: true})
+	s := explore.Replay(sc, f.Trace, explore.Options{Lenient: true})
 	if s.Status != explore.StatusStuck {
 		t.Fatalf("shrunk trace replays to %v (err=%v), want stuck", s.Status, s.Err)
 	}
@@ -93,11 +101,14 @@ func TestKillSafeScenariosPassAllSchedules(t *testing.T) {
 		}
 		sc := sc
 		t.Run(sc.Name, func(t *testing.T) {
-			rep := explore.Explore(sc, explore.Options{Seeds: 40, BaseSeed: 1})
-			if rep.FirstFailure != nil {
-				t.Fatalf("seed %d failed with %v (err=%v):\n%s",
-					rep.FirstFailureSeed, rep.FirstFailure.Status, rep.FirstFailure.Err,
-					rep.FirstFailure.Trace.EncodeToString())
+			rep, err := fleet.Run(sc, explore.Options{Seeds: 40, BaseSeed: 1}, fleet.Config{})
+			if err != nil {
+				t.Fatalf("fleet run: %v", err)
+			}
+			if len(rep.Findings) > 0 {
+				f := rep.Findings[0]
+				t.Fatalf("seed %d failed with %v (err=%s), shrunk:\n%s",
+					f.Seed, f.Status, f.Err, f.Trace.EncodeToString())
 			}
 			t.Logf("%d schedules, %d decisions, %d faults injected (outcomes: %v)",
 				rep.Schedules, rep.Steps, rep.Faults, rep.Outcomes)

@@ -1,9 +1,9 @@
 // Package fleet runs the explorer at scale: a driver process shards
 // schedule jobs across worker processes (or in-process protocol workers)
-// and digests their results through the same coverage-guided Driver the
-// in-process Explore uses. Each worker executes whole schedules on its
-// own deterministic runtime; the pipe protocol ships jobs out and traces
-// back. The driver observes results strictly in job-ID order and
+// and digests their results through the coverage-guided Driver; it is
+// the explorer's one sweep loop. Each worker executes whole schedules on
+// its own deterministic runtime; the pipe protocol ships jobs out and
+// traces back. The driver observes results strictly in job-ID order and
 // generates job k only once result k-window has been observed, so the
 // job stream — and with it the findings — is a pure function of the
 // Options, regardless of worker count or scheduling jitter.

@@ -16,6 +16,10 @@ import (
 // To regenerate after an intentional scheduling change:
 //
 //	go run ./cmd/explore record -scenario <name> -seed 42 -out <file>
+//
+// and read the new trace to check it still exercises what its comment
+// below says (the kvtxn pins were recorded with -prob 0.03, which lets
+// the victim get deep into its transaction before the first fault).
 func TestRecordedTracesReplay(t *testing.T) {
 	cases := []struct {
 		file string
@@ -31,15 +35,18 @@ func TestRecordedTracesReplay(t *testing.T) {
 		// the abandonment via DoneEvt and the retrying client crosses
 		// the cooldown on the virtual clock and recovers the breaker.
 		{"breaker-trip-holder-killed.trace", explore.StatusPass},
-		// kvtxn locking: the transfer owner's custodian shut down
-		// mid-transaction (condemning it) and the mostly-dead thread
-		// then collected; the death watch spawns an aborter, the
+		// kvtxn locking (seed 11, -prob 0.03): the transfer owner is
+		// killed inside Commit, holding its read locks and a write lock
+		// and not yet handed off; the transaction manager's death watch
+		// releases them, its custodian is shut down afterwards, the
 		// survivor's transfer commits, and the audit shows no wedged
 		// locks, parked waiters, or registry entries.
 		{"txn-kill-midlock.trace", explore.StatusPass},
-		// kvtxn OCC: the same double termination around
-		// validate/install; prepare-marks are reclaimed and the sum
-		// invariant holds.
+		// kvtxn OCC (seed 30, -prob 0.03): the owner is killed after its
+		// commit hand-off, while both shards hold its prepare-marks, and
+		// its custodian is shut down mid-install; the transaction
+		// manager installs both shards anyway, prepare-marks are
+		// reclaimed and the sum invariant holds.
 		{"txn-kill-validate.trace", explore.StatusPass},
 		// wire: a server killed between the batched flushes of a
 		// pipelined response stream; the client sees a whole, in-order

@@ -234,8 +234,8 @@ func txnScenario(name, desc string, strat kvtxn.Strategy) explore.Scenario {
 // TxnKillMidlock kills a locking-strategy transaction client at arbitrary
 // points — including between lock acquisition and commit hand-off. The
 // nack guarantee unwinds waiting acquires, the death watch releases held
-// locks, and the finisher protocol makes the commit itself all-or-
-// nothing; the surviving client must always get through.
+// locks, and the transaction manager's inline install makes the commit
+// itself all-or-nothing; the surviving client must always get through.
 func TxnKillMidlock() explore.Scenario {
 	return txnScenario(
 		"txn-kill-midlock",
@@ -246,8 +246,8 @@ func TxnKillMidlock() explore.Scenario {
 
 // TxnKillValidate kills an OCC transaction client at arbitrary points —
 // including while its cross-shard commit is mid-validation in the
-// prepare round. Prepare-marks and the store-owned finisher make the
-// install opaque and kill-atomic.
+// prepare round. Prepare-marks and the transaction manager's inline
+// prepare/finish round make the install opaque and kill-atomic.
 func TxnKillValidate() explore.Scenario {
 	return txnScenario(
 		"txn-kill-validate",

@@ -241,7 +241,8 @@ func kvKillStorm(t *testing.T, protocol string) {
 	wg.Wait()
 
 	// Quiescence: every shard has reaped its sessions, then the store
-	// audits clean once the death-watch aborters have run.
+	// audits clean once the transaction manager's death watch has
+	// released what the killed sessions held.
 	for i := 0; i < m.NumShards(); i++ {
 		if err := m.Runtime(i).Run(func(th *core.Thread) {
 			_, _ = core.Sync(th, m.Shard(i).IdleEvt())
